@@ -23,14 +23,23 @@ import repro.core._
 final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
   import EventKind._
 
-  private val grid = new Grid(cfg.rectW * cellFactor, cfg.rectH * cellFactor)
-  private val cells = mutable.HashMap.empty[(Long, Long), mutable.LinkedHashMap[Long, SpatialObj]]
-  private val reg   = mutable.HashMap.empty[Long, SpatialObj]
-  private val nbrs  = mutable.HashMap.empty[Long, mutable.HashSet[Long]]
-  private val ub    = mutable.HashMap.empty[Long, Double]
-  private val cand  = mutable.HashMap.empty[Long, BurstyPoint]
-  private val valid = mutable.HashMap.empty[Long, Boolean]
-  private val heap  = new LazyMaxHeap[Long]
+  private val grid    = new Grid(cfg.rectW * cellFactor, cfg.rectH * cellFactor)
+  private val cells   = mutable.LongMap.empty[mutable.LinkedHashMap[Long, SpatialObj]]
+  private val rects   = mutable.LongMap.empty[Rect]
+  private val heap    = new IndexedMaxHeap[Rect]
+  private val overlap = new Array[Long](Grid.MaxOverlap) // keys of one rect's cells
+  private val stash   = ArrayBuffer.empty[Rect]          // rects popped by one query
+
+  /** A live rectangle object: its graph edges, its cached candidate, and
+    * its upper bound as its heap priority.
+    */
+  private final class Rect(val obj: SpatialObj) extends HeapNode {
+    val nbrs = mutable.HashSet.empty[Long]
+    var cand: BurstyPoint = _
+    var valid: Boolean = false
+
+    def setBound(u: Double): Unit = { valid = false; heap.update(this, u) }
+  }
 
   var now: Long = Long.MinValue
   val stats = new CspotStats
@@ -43,7 +52,7 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
     o => if (pastIds.contains(o.id)) Win.Past else Win.Cur
 
   /** Current number of graph edges (space-cost accounting, Section II). */
-  def edgeCount: Long = nbrs.valuesIterator.map(_.size.toLong).sum / 2
+  def edgeCount: Long = rects.valuesIterator.map(_.nbrs.size.toLong).sum / 2
 
   def onEvent(e: Event): Option[BurstyPoint] = {
     stats.messages += 1
@@ -61,52 +70,51 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
     val box = cfg.rectBox(o)
     e.kind match {
       case New =>
-        reg(o.id) = o
-        val keys = grid.cellsOverlapping(box)
+        val r = new Rect(o)
+        rects(o.id) = r
+        val n = grid.cellsOverlapping(box, overlap)
         // Build the overlap edges through the cell lists.
-        val ns = mutable.HashSet.empty[Long]
-        keys.foreach { key =>
-          cells.get(key).foreach(_.valuesIterator.foreach { m =>
-            if (m.id != o.id && cfg.rectBox(m).intersectsClosed(box)) ns += m.id
+        var k = 0
+        while (k < n) {
+          cells.get(overlap(k)).foreach(_.valuesIterator.foreach { m =>
+            if (m.id != o.id && cfg.rectBox(m).intersectsClosed(box)) r.nbrs += m.id
           })
+          k += 1
         }
-        nbrs(o.id) = ns
         var selfUb = d
-        ns.foreach { nid =>
-          nbrs(nid) += o.id
-          val m = reg(nid)
-          if (!pastIds.contains(nid)) selfUb += cfg.delta(m.w)
-          ub(nid) = ub(nid) + d
-          valid(nid) = false
-          heap.update(nid, ub(nid))
+        r.nbrs.foreach { nid =>
+          val m = rects(nid)
+          m.nbrs += o.id
+          if (!pastIds.contains(nid)) selfUb += cfg.delta(m.obj.w)
+          m.setBound(m.priority + d)
         }
-        keys.foreach(key => cells.getOrElseUpdate(key, mutable.LinkedHashMap.empty).update(o.id, o))
-        ub(o.id) = selfUb
-        valid(o.id) = false
-        heap.update(o.id, selfUb)
+        k = 0
+        while (k < n) {
+          cells.getOrElseUpdate(overlap(k), mutable.LinkedHashMap.empty).update(o.id, o)
+          k += 1
+        }
+        r.setBound(selfUb)
       case Grown =>
         pastIds += o.id
-        val touched = nbrs(o.id).toArray :+ o.id
-        touched.foreach { nid =>
-          ub(nid) = ub(nid) - d
-          valid(nid) = false
-          heap.update(nid, ub(nid))
-        }
+        val r = rects(o.id)
+        r.nbrs.foreach { nid => val m = rects(nid); m.setBound(m.priority - d) }
+        r.setBound(r.priority - d)
       case Expired =>
         pastIds -= o.id
-        nbrs.remove(o.id).foreach(_.foreach { nid =>
-          nbrs(nid) -= o.id
-          valid(nid) = false
-          // o was in the past window: its weight is no longer in any bound.
-        })
-        grid.cellsOverlapping(box).foreach { key =>
+        val r = rects.remove(o.id).get
+        // o was in the past window: its weight is no longer in any bound.
+        r.nbrs.foreach { nid => val m = rects(nid); m.nbrs -= o.id; m.valid = false }
+        val n = grid.cellsOverlapping(box, overlap)
+        var k = 0
+        while (k < n) {
+          val key = overlap(k)
           cells.get(key).foreach { cl =>
             cl.remove(o.id)
             if (cl.isEmpty) cells.remove(key)
           }
+          k += 1
         }
-        reg.remove(o.id); ub.remove(o.id); cand.remove(o.id); valid.remove(o.id)
-        heap.remove(o.id)
+        heap.remove(r)
     }
   }
 
@@ -116,36 +124,30 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
     */
   def query(): Option[BurstyPoint] = {
     var best: BurstyPoint = null
-    val stash = ArrayBuffer.empty[Long]
-    var done  = false
+    var done = false
     while (!done) {
-      heap.peekMax match {
-        case None => done = true
-        case Some((id, u)) =>
-          if (best != null && u <= best.score + 1e-9) done = true
-          else {
-            if (!valid.getOrElse(id, false)) search(id)
-            else {
-              val c = cand(id)
-              if (best == null || c.score > best.score) best = c
-              heap.popMax
-              stash += id
-            }
-          }
+      val r = heap.peekMax
+      if (r == null || (best != null && r.priority <= best.score + 1e-9)) done = true
+      else if (!r.valid) search(r)
+      else {
+        if (best == null || r.cand.score > best.score) best = r.cand
+        heap.popMax()
+        stash += r
       }
     }
-    stash.foreach(id => if (reg.contains(id)) heap.update(id, ub(id)))
+    stash.foreach(r => heap.update(r, r.priority))
+    stash.clear()
     Option(best)
   }
 
-  private def search(id: Long): Unit = {
-    val o     = reg(id)
-    val group = (nbrs(id).iterator.map(reg) ++ Iterator.single(o)).toIndexedSeq
+  private def search(r: Rect): Unit = {
+    val o     = r.obj
+    val group = (r.nbrs.iterator.map(nid => rects(nid).obj) ++ Iterator.single(o)).toIndexedSeq
     val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf)
     stats.searches += 1
     stats.sweptRects += res.rectCount
     searchedThisMessage = true
-    cand(id) = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
-    valid(id) = true
+    r.cand = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
+    r.valid = true
   }
 }

@@ -37,11 +37,11 @@ final class CspotStats {
   *  - a candidate point (the last SL-CSPOT result) whose per-window scores
   *    are tracked incrementally and whose validity follows Lemma 4.
   *
-  * A lazy max-heap orders cells by `U(c) = min(U_s, U_d)`. An event updates
-  * the ≤4 affected cells in O(1) each; a query walks cells in descending
-  * bound order, re-sweeping only cells whose candidate is invalid, and stops
-  * as soon as no bound exceeds the best candidate score found — the lazy
-  * update strategy of Section IV-C1.
+  * An [[IndexedMaxHeap]] orders cells by `U(c) = min(U_s, U_d)`. An event
+  * updates the ≤4 affected cells in O(1) each plus one in-place heap update;
+  * a query walks cells in descending bound order, re-sweeping only cells
+  * whose candidate is invalid, and stops as soon as no bound exceeds the
+  * best candidate score found — the lazy update strategy of Section IV-C1.
   *
   * Exactness note: whenever a candidate stays valid under Lemma 4, its
   * tracked score gains exactly the increment applied to `U_d`, so for valid
@@ -51,9 +51,11 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
                       externalPast: Option[Long => Boolean] = None) {
   import EventKind._
 
-  private val grid  = new Grid(cfg.rectW, cfg.rectH)
-  private val cells = mutable.HashMap.empty[(Long, Long), Cell]
-  private val heap  = new LazyMaxHeap[(Long, Long)]
+  private val grid    = new Grid(cfg.rectW, cfg.rectH)
+  private val cells   = mutable.LongMap.empty[Cell]
+  private val heap    = new IndexedMaxHeap[Cell]
+  private val overlap = new Array[Long](Grid.MaxOverlap) // keys of one event's cells
+  private val stash   = ArrayBuffer.empty[Cell]          // cells popped by one query
 
   // Window membership is *event-driven*: an object is Past from the moment
   // its Grown event is processed until its Expired event removes it. This
@@ -75,18 +77,41 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
   val stats = new CspotStats
   private var searchedThisMessage = false
 
-  private final class Cell(val key: (Long, Long)) {
+  private final class Cell(val key: Long) extends HeapNode {
     val rects = mutable.LinkedHashMap.empty[Long, SpatialObj]
     var us: Double = 0.0
     var ud: Double = Double.PositiveInfinity
-    var cand: BurstyPoint = _
+    // The candidate point (the last SL-CSPOT result) and its tracked
+    // per-window scores; `hasCand` is false until the first search.
+    var hasCand: Boolean = false
+    var cx: Double = 0.0
+    var cy: Double = 0.0
+    var cfc: Double = 0.0
+    var cfp: Double = 0.0
+    var cscore: Double = 0.0
     var candValid: Boolean = false
 
     def bound: Double = mode match {
       case BoundMode.Full       => math.min(math.max(us, 0.0), ud)
       case BoundMode.StaticOnly => math.max(us, 0.0)
-      case BoundMode.NoBounds   => if (cand == null) 0.0 else cand.score
+      case BoundMode.NoBounds   => if (hasCand) cscore else 0.0
     }
+
+    def setCand(p: BurstyPoint): Unit = {
+      hasCand = true
+      cx = p.x; cy = p.y; cfc = p.fc; cfp = p.fp; cscore = p.score
+    }
+
+    /** Moves the candidate's scores by `(dfc, dfp)` if `obox` covers it and
+      * returns whether it did.
+      */
+    def shiftCand(obox: Box, dfc: Double, dfp: Double): Boolean = {
+      val covered = obox.contains(cx, cy)
+      if (covered) { cfc += dfc; cfp += dfp; cscore = cfg.burst(cfc, cfp) }
+      covered
+    }
+
+    def candidate: BurstyPoint = BurstyPoint(cx, cy, cfc, cfp, cscore)
   }
 
   /** Number of live (non-empty) cells. */
@@ -96,7 +121,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     * compute cover sets through the cell index instead of a full scan.
     */
   def rectsCovering(px: Double, py: Double): Iterator[SpatialObj] =
-    cells.get(grid.cellOf(px, py)) match {
+    cells.get(grid.keyOf(px, py)) match {
       case None    => Iterator.empty
       case Some(c) => c.rects.valuesIterator.filter(o => cfg.rectBox(o).contains(px, py))
     }
@@ -125,27 +150,23 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
       case Expired => pastIds -= o.id
       case New     => ()
     }
-    grid.cellsOverlapping(obox).foreach { key =>
-      val c = e.kind match {
-        case New => cells.getOrElseUpdate(key, new Cell(key))
-        case _   => cells.getOrElse(key, null)
-      }
+    val n = grid.cellsOverlapping(obox, overlap)
+    var k = 0
+    while (k < n) {
+      val key = overlap(k)
+      val c   = if (e.kind == New) cellAt(key) else cells.getOrNull(key)
       if (c != null) {
         e.kind match {
           case New     => c.rects.update(o.id, o); c.us += d; c.ud += d
           case Grown   => c.us -= d // Eqn 3: dynamic bound unchanged
           case Expired => c.rects.remove(o.id); c.ud += cfg.alpha * d
         }
-        if (c.cand != null) {
-          val covered = obox.contains(c.cand.x, c.cand.y)
-          val pre     = c.cand.fc - c.cand.fp
-          if (covered) {
-            val (nfc, nfp) = e.kind match {
-              case New     => (c.cand.fc + d, c.cand.fp)
-              case Grown   => (c.cand.fc - d, c.cand.fp + d)
-              case Expired => (c.cand.fc, c.cand.fp - d)
-            }
-            c.cand = BurstyPoint(c.cand.x, c.cand.y, nfc, nfp, cfg.burst(nfc, nfp))
+        if (c.hasCand) {
+          val pre     = c.cfc - c.cfp
+          val covered = e.kind match {
+            case New     => c.shiftCand(obox, d, 0.0)
+            case Grown   => c.shiftCand(obox, -d, d)
+            case Expired => c.shiftCand(obox, 0.0, -d)
           }
           if (c.candValid) {
             // Lemma 4 (conservative form, evaluated on pre-event scores).
@@ -155,8 +176,9 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
             }
           }
         }
-        finishCellUpdate(key, c)
+        finishCellUpdate(c)
       }
+      k += 1
     }
   }
 
@@ -171,10 +193,11 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     val isCur = !isPast(o.id)
     val obox  = cfg.rectBox(o)
     val d     = cfg.delta(o.w)
-    grid.cellsOverlapping(obox).foreach { key =>
-      val c =
-        if (insert) cells.getOrElseUpdate(key, new Cell(key))
-        else cells.getOrElse(key, null)
+    val n     = grid.cellsOverlapping(obox, overlap)
+    var k     = 0
+    while (k < n) {
+      val key = overlap(k)
+      val c   = if (insert) cellAt(key) else cells.getOrNull(key)
       if (c != null) {
         if (insert) {
           c.rects.update(o.id, o)
@@ -184,17 +207,13 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
           if (isCur) c.us -= d
           else c.ud += cfg.alpha * d
         }
-        if (c.cand != null) {
-          val covered = obox.contains(c.cand.x, c.cand.y)
-          val pre     = c.cand.fc - c.cand.fp
-          if (covered) {
-            val (nfc, nfp) = (insert, isCur) match {
-              case (true, true)   => (c.cand.fc + d, c.cand.fp)
-              case (true, false)  => (c.cand.fc, c.cand.fp + d)
-              case (false, true)  => (c.cand.fc - d, c.cand.fp)
-              case (false, false) => (c.cand.fc, c.cand.fp - d)
-            }
-            c.cand = BurstyPoint(c.cand.x, c.cand.y, nfc, nfp, cfg.burst(nfc, nfp))
+        if (c.hasCand) {
+          val pre     = c.cfc - c.cfp
+          val covered = (insert, isCur) match {
+            case (true, true)   => c.shiftCand(obox, d, 0.0)
+            case (true, false)  => c.shiftCand(obox, 0.0, d)
+            case (false, true)  => c.shiftCand(obox, -d, 0.0)
+            case (false, false) => c.shiftCand(obox, 0.0, -d)
           }
           if (c.candValid) {
             c.candValid = (insert, isCur) match {
@@ -204,65 +223,65 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
             }
           }
         }
-        finishCellUpdate(key, c)
+        finishCellUpdate(c)
       }
+      k += 1
     }
   }
 
-  private def finishCellUpdate(key: (Long, Long), c: Cell): Unit = {
+  /** The cell at `key`, created empty if absent. */
+  private def cellAt(key: Long): Cell = {
+    var c = cells.getOrNull(key)
+    if (c == null) { c = new Cell(key); cells.update(key, c) }
+    c
+  }
+
+  private def finishCellUpdate(c: Cell): Unit = {
     if (c.rects.isEmpty) {
-      cells.remove(key)
-      heap.remove(key)
-    } else mode match {
-      case BoundMode.NoBounds =>
-        searchCell(c)
-        heap.update(key, c.bound)
-      case _ =>
-        heap.update(key, c.bound)
+      cells.remove(c.key)
+      heap.remove(c)
+    } else {
+      if (mode == BoundMode.NoBounds) searchCell(c)
+      heap.update(c, c.bound)
     }
   }
 
   private def searchCell(c: Cell): Unit = {
-    val res = SweepLine.burstyPoint(c.rects.values, grid.cellBox(c.key), cfg, winOf)
+    val box = grid.cellBox(c.key)
+    val res = SweepLine.burstyPoint(c.rects.values, box, cfg, winOf)
     stats.searches += 1
     stats.sweptRects += res.rectCount
     searchedThisMessage = true
-    c.cand = res.point.getOrElse {
-      val b = grid.cellBox(c.key)
-      BurstyPoint(b.x0, b.y0, 0.0, 0.0, 0.0)
-    }
+    c.setCand(res.point.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0)))
     c.candValid = true
-    if (mode == BoundMode.Full) c.ud = c.cand.score
+    if (mode == BoundMode.Full) c.ud = c.cscore
   }
 
   /** Current bursty point (the lazy-update search loop of Algorithm 2).
     * Idempotent; may be called as often or as rarely as the caller likes.
     */
   def query(): Option[BurstyPoint] = {
-    if (mode == BoundMode.NoBounds)
-      return heap.peekMax.map { case (k, _) => cells(k).cand }
-    var best: BurstyPoint = null
-    val stash = ArrayBuffer.empty[(Long, Long)]
-    var done  = false
+    if (mode == BoundMode.NoBounds) {
+      val c = heap.peekMax
+      return if (c == null) None else Some(c.candidate)
+    }
+    var best: Cell = null
+    var done = false
     while (!done) {
-      heap.peekMax match {
-        case None => done = true
-        case Some((k, u)) =>
-          if (best != null && u <= best.score + 1e-9) done = true
-          else {
-            val c = cells(k)
-            if (!c.candValid) {
-              searchCell(c)
-              heap.update(k, c.bound)
-            } else {
-              if (best == null || c.cand.score > best.score) best = c.cand
-              heap.popMax
-              stash += k
-            }
-          }
+      val c = heap.peekMax
+      if (c == null || (best != null && c.priority <= best.cscore + 1e-9)) done = true
+      else if (!c.candValid) {
+        searchCell(c)
+        heap.update(c, c.bound)
+      } else {
+        if (best == null || c.cscore > best.cscore) best = c
+        heap.popMax()
+        stash += c
       }
     }
-    stash.foreach(k => cells.get(k).foreach(c => heap.update(k, c.bound)))
-    Option(best)
+    var k = 0
+    while (k < stash.length) { val c = stash(k); heap.update(c, c.bound); k += 1 }
+    stash.clear()
+    if (best == null) None else Some(best.candidate)
   }
 }

@@ -10,9 +10,9 @@ final case class CellResult(key: (Long, Long), box: Box, fc: Double, fp: Double,
   *
   * The space is divided into `b×a` cells anchored at `(offX, offY)`; every
   * cell is a candidate region. Events update the containing cell's
-  * per-window scores in O(1); a lazy max-heap reports the cell with the
-  * maximum burst score in `O(log n)`. Approximation ratio `(1−α)/4`
-  * (Theorem 3; the ratio is tight by Lemma 7).
+  * per-window scores in O(1); an [[IndexedMaxHeap]] over the cells, updated
+  * in place, reports the cell with the maximum burst score in `O(log n)`.
+  * Approximation ratio `(1−α)/4` (Theorem 3; the ratio is tight by Lemma 7).
   *
   * Note: Algorithm 3 in the paper prints the burst score without the `α`
   * weights — an obvious typo; we score cells with Definition 1 via
@@ -22,10 +22,10 @@ final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Dou
   import EventKind._
 
   private val grid  = new Grid(cfg.rectW, cfg.rectH, offX, offY)
-  private val cells = mutable.HashMap.empty[(Long, Long), CState]
-  private val heap  = new LazyMaxHeap[(Long, Long)]
+  private val cells = mutable.LongMap.empty[CState]
+  private val heap  = new IndexedMaxHeap[CState]
 
-  private final class CState {
+  private final class CState(val key: Long) extends HeapNode {
     var fc: Double = 0.0
     var fp: Double = 0.0
     var live: Int  = 0 // objects of this cell still inside W_c ∪ W_p
@@ -37,39 +37,38 @@ final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Dou
   def process(e: Event): Unit = {
     val o   = e.obj
     val d   = cfg.delta(o.w)
-    val key = grid.cellOf(o.x, o.y)
-    val c   = cells.getOrElseUpdate(key, new CState)
+    val key = grid.keyOf(o.x, o.y)
+    var c   = cells.getOrNull(key)
+    if (c == null) { c = new CState(key); cells.update(key, c) }
     e.kind match {
       case New     => c.fc += d; c.live += 1
       case Grown   => c.fc -= d; c.fp += d
       case Expired => c.fp -= d; c.live -= 1
     }
-    if (c.live == 0) { cells.remove(key); heap.remove(key) }
-    else heap.update(key, cfg.burst(c.fc, c.fp))
+    if (c.live == 0) { cells.remove(key); heap.remove(c) }
+    else heap.update(c, cfg.burst(c.fc, c.fp))
   }
 
   def onEvent(e: Event): Option[CellResult] = { process(e); top }
 
   /** The cell with the maximum burst score (line 6 of Algorithm 3). */
-  def top: Option[CellResult] =
-    heap.peekMax.map { case (k, _) => result(k) }
+  def top: Option[CellResult] = {
+    val c = heap.peekMax
+    if (c == null) None else Some(result(c))
+  }
 
   /** Top-k cells by burst score (GAP-KSURGE, Algorithm 6). Cells of a single
     * grid are disjoint, so the top-k list is non-overlapping by construction.
     */
   def topK(k: Int): IndexedSeq[CellResult] = {
-    val popped = ArrayBuffer.empty[((Long, Long), Double)]
-    while (popped.length < k && heap.peekMax.isDefined)
-      heap.popMax.foreach(popped += _)
-    // restore
-    popped.foreach { case (key, p) => heap.update(key, p) }
-    popped.iterator.map { case (key, _) => result(key) }.toIndexedSeq
+    val popped = ArrayBuffer.empty[CState]
+    while (popped.length < k && !heap.isEmpty) popped += heap.popMax()
+    popped.foreach(c => heap.update(c, c.priority))
+    popped.map(result).toIndexedSeq
   }
 
-  private def result(k: (Long, Long)): CellResult = {
-    val c = cells(k)
-    CellResult(k, grid.cellBox(k), c.fc, c.fp, cfg.burst(c.fc, c.fp))
-  }
+  private def result(c: CState): CellResult =
+    CellResult(Grid.unpack(c.key), grid.cellBox(c.key), c.fc, c.fp, cfg.burst(c.fc, c.fp))
 }
 
 /** MGAP-SURGE (Algorithm 5): four half-cell-shifted grids —

@@ -1,6 +1,5 @@
 package repro.stream
 
-import scala.collection.mutable
 import repro.core._
 
 /** The stream substrate: turns a timestamp-ordered stream of spatial
@@ -13,14 +12,16 @@ import repro.core._
   * are released before any arrival with an equal-or-later timestamp, so
   * every algorithm observes windows `W_c = (t−|W|, t]`,
   * `W_p = (t−2|W|, t−|W|]` exactly. At equal firing times, `Expired`
-  * precedes `Grown` precedes `New`; ties beyond that break by insertion
+  * precedes `Grown` precedes `New`; events of one kind come out in arrival
   * order, making the sequence fully deterministic.
+  *
+  * Because arrivals are in non-decreasing `t` order, both due times are
+  * monotone in arrival order. The sequence is therefore a three-way merge:
+  * the input for `New`, and a Grown and an Expired cursor over a ring buffer
+  * of the arrivals still inside `W_c ∪ W_p`. No heap, and no allocation per
+  * event beyond the [[Event]] itself.
   */
 object EventStream {
-
-  private final case class Pending(due: Long, rank: Int, seq: Long, obj: SpatialObj, kind: EventKind)
-  private val pendingOrd: Ordering[Pending] =
-    Ordering.by((p: Pending) => (-p.due, -p.rank, -p.seq)) // max-heap → smallest (due, rank, seq) first
 
   /** Lazily interleave transitions with arrivals.
     *
@@ -28,35 +29,70 @@ object EventStream {
     * @param windowMillis window length `|W|`
     * @param drainTail whether to emit the Grown/Expired events that fall
     *                  after the last arrival (true = windows slide to empty)
+    * @throws IllegalArgumentException from `next()` when the arrival due
+    *         next has a `t` below its predecessor's
     */
   def fromObjects(objs: Iterable[SpatialObj], windowMillis: Long,
-                  drainTail: Boolean = true): Iterator[Event] = new Iterator[Event] {
-    private val it  = objs.iterator
-    private val pq  = mutable.PriorityQueue.empty[Pending](pendingOrd)
-    private var seqNo = 0L
-    private var nextArrival: Option[SpatialObj] = advance()
-
-    private def advance(): Option[SpatialObj] = if (it.hasNext) Some(it.next()) else None
-
-    def hasNext: Boolean = nextArrival.isDefined || (drainTail && pq.nonEmpty)
-
-    def next(): Event = {
-      nextArrival match {
-        case Some(o) if pq.isEmpty || pq.head.due > o.t =>
-          nextArrival = advance()
-          seqNo += 1
-          pq.enqueue(Pending(o.t + windowMillis, 1, seqNo, o, EventKind.Grown))
-          pq.enqueue(Pending(o.t + 2 * windowMillis, 0, seqNo, o, EventKind.Expired))
-          Event(o, EventKind.New, o.t)
-        case _ =>
-          val p = pq.dequeue()
-          Event(p.obj, p.kind, p.due)
-      }
-    }
+                  drainTail: Boolean = true): Iterator[Event] = {
+    require(windowMillis > 0, s"window must be positive, got $windowMillis")
+    new Merge(objs.iterator, windowMillis, drainTail)
   }
 
-  /** Count of events an N-object stream produces (3 per object when the
-    * tail is drained).
-    */
-  def eventCount(n: Long, drainTail: Boolean = true): Long = if (drainTail) 3 * n else -1
+  private final class Merge(in: Iterator[SpatialObj], w: Long, drainTail: Boolean)
+      extends Iterator[Event] {
+    // Arrival number k sits at ring(k & mask) while expired <= k < arrived;
+    // arrivals below `grown` have had their Grown event, below `expired`
+    // their Expired event. A Grown event is due strictly before its own
+    // Expired event, so expired <= grown <= arrived.
+    private var ring     = new Array[SpatialObj](16)
+    private var expired  = 0L
+    private var grown    = 0L
+    private var arrived  = 0L
+    private var upcoming = if (in.hasNext) in.next() else null
+    private var previous: SpatialObj = null
+
+    private def at(k: Long): SpatialObj = ring((k & (ring.length - 1)).toInt)
+
+    def hasNext: Boolean = upcoming != null || (drainTail && expired < arrived)
+
+    def next(): Event = {
+      val a = upcoming
+      if (expired < arrived && {
+            val due = at(expired).t + 2 * w
+            (grown == arrived || due <= at(grown).t + w) && (a == null || due <= a.t)
+          }) {
+        val slot = (expired & (ring.length - 1)).toInt
+        val o    = ring(slot)
+        ring(slot) = null
+        expired += 1
+        Event(o, EventKind.Expired, o.t + 2 * w)
+      } else if (grown < arrived && (a == null || at(grown).t + w <= a.t)) {
+        val o = at(grown)
+        grown += 1
+        Event(o, EventKind.Grown, o.t + w)
+      } else if (a != null) {
+        if (previous != null && a.t < previous.t)
+          throw new IllegalArgumentException(
+            s"arrivals out of order: object ${a.id} at t=${a.t} " +
+              s"follows object ${previous.id} at t=${previous.t}")
+        if (arrived - expired == ring.length) grow()
+        ring((arrived & (ring.length - 1)).toInt) = a
+        arrived += 1
+        previous = a
+        upcoming = if (in.hasNext) in.next() else null
+        Event(a, EventKind.New, a.t)
+      } else throw new NoSuchElementException("event stream exhausted")
+    }
+
+    /** Doubles the ring, keeping every live arrival at its new masked slot. */
+    private def grow(): Unit = {
+      val bigger = new Array[SpatialObj](2 * ring.length)
+      var k = expired
+      while (k < arrived) {
+        bigger((k & (bigger.length - 1)).toInt) = at(k)
+        k += 1
+      }
+      ring = bigger
+    }
+  }
 }

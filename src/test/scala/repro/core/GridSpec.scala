@@ -62,4 +62,33 @@ class GridSpec extends AnyFunSuite {
     // boundary-touching neighbours included (closed semantics)
     assert(keys.contains((3L, 4L)))
   }
+
+  test("pack and unpack round-trip, including negative indices") {
+    val g = new Grid(1.0, 1.0, 0.5, 0.5)
+    assert(g.cellOf(0.4, 0.4) == (-1L, -1L))
+    val k = g.keyOf(0.4, 0.4)
+    assert(Grid.unpack(k) == (-1L, -1L))
+    assert(g.cellBox(k) == g.cellBox((-1L, -1L)))
+    val edge = Seq(Int.MinValue.toLong, -2L, -1L, 0L, 1L, Int.MaxValue.toLong)
+    val keys = for (i <- edge; j <- edge) yield {
+      val p = Grid.pack(i, j)
+      assert(Grid.unpack(p) == (i, j))
+      p
+    }
+    assert(keys.distinct.size == keys.size)
+  }
+
+  test("pack rejects an index outside the Int range") {
+    intercept[IllegalArgumentException](Grid.pack(Int.MaxValue.toLong + 1, 0L))
+    intercept[IllegalArgumentException](Grid.pack(0L, Int.MinValue.toLong - 1))
+    val g = new Grid(1.0, 1.0)
+    intercept[IllegalArgumentException](g.keyOf(1e12, 0.0))
+  }
+
+  test("the allocation-free enumeration rejects a too-short buffer") {
+    val g = new Grid(1.0, 1.0)
+    val out = new Array[Long](4)
+    assert(g.cellsOverlapping(Box(0.5, 0.5, 1.5, 1.5), out) == 4)
+    intercept[IllegalArgumentException](g.cellsOverlapping(Box(0.5, 0.5, 2.5, 2.5), out))
+  }
 }

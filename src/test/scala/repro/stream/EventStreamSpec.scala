@@ -100,4 +100,50 @@ class EventStreamSpec extends AnyFunSuite {
     val b = EventStream.fromObjects(objs, W).toVector
     assert(a == b)
   }
+
+  test("an arrival earlier than its predecessor is rejected") {
+    val objs = IndexedSeq(
+      SpatialObj(0, 1, 0, 0, 1000L),
+      SpatialObj(1, 1, 1, 1, 1500L),
+      SpatialObj(2, 1, 2, 2, 1400L),
+    )
+    val ex = intercept[IllegalArgumentException](EventStream.fromObjects(objs, W).toVector)
+    Seq("object 2", "t=1400", "object 1", "t=1500").foreach(part => assert(ex.getMessage.contains(part)))
+  }
+
+  /** All 3n events stably sorted by (time, Expired < Grown < New, arrival
+    * index); without a drained tail, cut after the last `New`.
+    */
+  private def reference(objs: IndexedSeq[SpatialObj], drainTail: Boolean): Vector[Event] = {
+    val all = objs.zipWithIndex.flatMap { case (o, i) =>
+      Seq((Event(o, EventKind.New, o.t), 2, i),
+          (Event(o, EventKind.Grown, o.t + W), 1, i),
+          (Event(o, EventKind.Expired, o.t + 2 * W), 0, i))
+    }.sortBy { case (e, rank, i) => (e.at, rank, i) }.map(_._1).toVector
+    if (drainTail) all else all.take(all.lastIndexWhere(_.kind == EventKind.New) + 1)
+  }
+
+  /** `n` arrivals in runs of equal timestamps, on a lattice of W/4 so that
+    * many arrivals land exactly on earlier objects' t+W and t+2W.
+    */
+  private def runs(seed: Int, n: Int, maxRun: Int): IndexedSeq[SpatialObj] = {
+    val rng = new java.util.Random(seed)
+    var t   = 0L
+    (0 until n).map { i =>
+      if (i > 0 && rng.nextInt(maxRun) == 0) t += (W / 4) * rng.nextInt(3)
+      SpatialObj(i.toLong, 1, 0, 0, t)
+    }
+  }
+
+  private val orderCases = Seq(
+    "equal-timestamp runs on a W/4 lattice" -> runs(1, 300, 4),
+    "arrivals exactly on t+W and t+2W"      -> (0 until 40).map(i => SpatialObj(i.toLong, 1, 0, 0, (i / 2) * (W / 2))),
+    "a long window that grows the ring"     -> runs(2, 3000, 400),
+    "random continuous times"               -> TestGen.stream(7, 200, span = 2500L),
+  )
+
+  for ((name, objs) <- orderCases; drain <- Seq(true, false))
+    test(s"event order matches the sorted reference: $name, drainTail=$drain") {
+      assert(EventStream.fromObjects(objs, W, drainTail = drain).toVector == reference(objs, drain))
+    }
 }
