@@ -30,7 +30,8 @@ object EventStream {
     * @param drainTail whether to emit the Grown/Expired events that fall
     *                  after the last arrival (true = windows slide to empty)
     * @throws IllegalArgumentException from `next()` when the arrival due
-    *         next has a `t` below its predecessor's
+    *         next has a `t` below its predecessor's, a non-finite `x` or
+    *         `y`, or a weight that is not finite and positive
     */
   def fromObjects(objs: Iterable[SpatialObj], windowMillis: Long,
                   drainTail: Boolean = true): Iterator[Event] = {
@@ -71,6 +72,13 @@ object EventStream {
         grown += 1
         Event(o, EventKind.Grown, o.t + w)
       } else if (a != null) {
+        // A NaN coordinate falls out of every sweep's binary search, and a
+        // weight <= 0 breaks the static bound U_s as an upper bound.
+        if (!java.lang.Double.isFinite(a.x) || !java.lang.Double.isFinite(a.y) ||
+            !(a.w > 0 && a.w < Double.PositiveInfinity))
+          throw new IllegalArgumentException(
+            s"invalid arrival: object ${a.id} has x=${a.x}, y=${a.y}, w=${a.w} " +
+              "(coordinates must be finite, the weight finite and positive)")
         if (previous != null && a.t < previous.t)
           throw new IllegalArgumentException(
             s"arrivals out of order: object ${a.id} at t=${a.t} " +

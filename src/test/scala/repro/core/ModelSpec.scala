@@ -1,6 +1,8 @@
 package repro.core
 
 import java.util.Random
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGen
 
@@ -39,6 +41,20 @@ class ModelSpec extends AnyFunSuite {
     val c = TestGen.cfg(alpha = 0.0)
     assert(math.abs(c.burst(7, 3) - 7.0) < 1e-12)
   }
+  test("burst score linearises: S = max(fc − α·fp, (1−α)·fc) (property)") {
+    // Integer weights make fc == fp ties common; continuous ones do not.
+    val weight = Gen.oneOf(Gen.choose(0, 60).map(_.toDouble), Gen.choose(0.0, 1e4))
+    val alpha  = Gen.oneOf(Gen.const(0.0), Gen.const(0.99), Gen.choose(0.0, 1.0).suchThat(_ < 1))
+    val prop = Prop.forAll(weight, weight, alpha) { (fc, fp, a) =>
+      val lin = math.max(fc - a * fp, (1 - a) * fc)
+      // Both forms round at the scale of their operands, not of the result.
+      math.abs(TestGen.cfg(alpha = a).burst(fc, fp) - lin) <= 1e-12 * math.max(fc, fp)
+    }
+    val params = Check.Parameters.default.withMinSuccessfulTests(5000).withInitialSeed(Seed(11L))
+    val result = Check.check(params, prop)
+    assert(result.passed, result.status)
+  }
+
   test("delta normalises by window length in hours") {
     val c = TestGen.cfg(windowMillis = 3600000L)
     assert(math.abs(c.delta(42.0) - 42.0) < 1e-12)

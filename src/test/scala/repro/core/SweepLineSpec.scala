@@ -102,4 +102,83 @@ class SweepLineSpec extends AnyFunSuite {
     val box = Box(-1, -1, 2, 2)
     assert(SweepLine.burstyPoint(objs, box, now, cfg).rectCount == 1)
   }
+
+  test("tie-break: the higher of two disjoint equal rects wins, then the leftmost") {
+    val cfg = TestGen.cfg(windowMillis = 3600000L)
+    val now = 1000000L
+    val low   = SpatialObj(0, 2.0, 0.0, 0.0, now - 10)
+    val high  = SpatialObj(1, 2.0, 3.0, 2.0, now - 10)
+    val p = SweepLine.burstyPoint(Seq(low, high), big, now, cfg).point.get
+    assert((p.x, p.y, p.score) == (3.0, 3.0, 2.0))
+    val right = SpatialObj(0, 2.0, 3.0, 2.0, now - 10)
+    val left  = SpatialObj(1, 2.0, 0.0, 2.0, now - 10)
+    val q = SweepLine.burstyPoint(Seq(right, left), big, now, cfg).point.get
+    assert((q.x, q.y, q.score) == (0.0, 3.0, 2.0))
+  }
+
+  /** Integer weights and rect corners on a 0.5 lattice: edges coincide,
+    * column ranges are one candidate wide, some rects appear twice, and
+    * timestamps sit on the window boundaries. With `|W|` = 1 h every
+    * `f_c`/`f_p` is an exact integer sum.
+    */
+  private def latticeSnapshot(rng: Random, now: Long, hour: Long): IndexedSeq[SpatialObj] = {
+    val base = (0 until 5 + rng.nextInt(30)).map { i =>
+      SpatialObj(i.toLong, 1.0 + rng.nextInt(4), 0.5 * rng.nextInt(9), 0.5 * rng.nextInt(9),
+                 now - rng.nextInt(5) * (hour / 2))
+    }
+    base ++ base.take(rng.nextInt(base.length)).map(o => o.copy(id = o.id + 1000))
+  }
+
+  for (seed <- 0 until 24)
+    test(s"lattice snapshot with integer weights and ties matches brute force, seed $seed") {
+      val rng  = new Random(5000 + seed)
+      val hour = 3600000L
+      val cfg  = TestGen.cfg(windowMillis = hour, alpha = if (seed % 2 == 0) 0.0 else 0.99,
+                             rectW = 0.5 * (1 + rng.nextInt(3)), rectH = 0.5 * (1 + rng.nextInt(3)))
+      val now  = 10 * hour
+      val objs = latticeSnapshot(rng, now, hour)
+      val x0 = 0.5 * rng.nextInt(6); val y0 = 0.5 * rng.nextInt(6)
+      // The lattice box has edges on the same lattice as the rects.
+      for (box <- Seq(big, Box(x0, y0, x0 + cfg.rectW, y0 + cfg.rectH))) {
+        val sw = SweepLine.burstyPoint(objs, box, now, cfg).point
+        val bf = BruteForce.burstyPoint(objs, now, cfg, Some(box))
+        assert(sw.isDefined == bf.isDefined)
+        for (s <- sw; b <- bf) {
+          assert(box.contains(s.x, s.y), s"point outside $box: $s")
+          assert(math.abs(s.score - b.score) < 1e-9, s"box=$box sweep=$s brute=$b")
+          val check = BruteForce.scoreAt(objs, now, cfg, s.x, s.y)
+          assert(check.fc == s.fc && check.fp == s.fp, s"box=$box sweep=$s at point=$check")
+        }
+      }
+    }
+
+  test("a 2,000-rect cell reports a point whose score no sampled candidate beats") {
+    val rng  = new Random(77)
+    val hour = 3600000L
+    val cfg  = TestGen.cfg(windowMillis = hour, alpha = 0.5)
+    val now  = 10 * hour
+    // Every rect overlaps the unit cell [0,1]²: corners uniform in [-1,1]².
+    val objs = (0 until 2000).map { i =>
+      SpatialObj(i.toLong, 1.0 + rng.nextInt(100), rng.nextDouble() * 2 - 1,
+                 rng.nextDouble() * 2 - 1, now - (rng.nextDouble() * 2 * hour).toLong)
+    }
+    val cell = Box(0, 0, 1, 1)
+    val res  = SweepLine.burstyPoint(objs, cell, now, cfg)
+    assert(res.rectCount == 2000)
+    val p     = res.point.get
+    val check = BruteForce.scoreAt(objs, now, cfg, p.x, p.y)
+    assert(cell.contains(p.x, p.y))
+    assert((p.fc, p.fp, p.score) == (check.fc, check.fp, check.score))
+    // Candidates of the arrangement: clipped edges and their midpoints.
+    def axis(edges: Seq[Double]): IndexedSeq[Double] = {
+      val e = edges.distinct.sorted.toIndexedSeq
+      e ++ e.sliding(2).map(w => (w(0) + w(1)) / 2)
+    }
+    val xs = axis(objs.flatMap(o => Seq(math.max(o.x, 0.0), math.min(o.x + 1, 1.0))))
+    val ys = axis(objs.flatMap(o => Seq(math.max(o.y, 0.0), math.min(o.y + 1, 1.0))))
+    for (_ <- 0 until 2500) {
+      val q = BruteForce.scoreAt(objs, now, cfg, xs(rng.nextInt(xs.length)), ys(rng.nextInt(ys.length)))
+      assert(q.score <= p.score, s"candidate $q beats reported $p")
+    }
+  }
 }

@@ -111,6 +111,22 @@ class EventStreamSpec extends AnyFunSuite {
     Seq("object 2", "t=1400", "object 1", "t=1500").foreach(part => assert(ex.getMessage.contains(part)))
   }
 
+  private val malformed = Seq(
+    "a NaN x"             -> SpatialObj(7, 1, Double.NaN, 0, 1200L),
+    "an infinite y"       -> SpatialObj(7, 1, 0, Double.PositiveInfinity, 1200L),
+    "a NaN weight"        -> SpatialObj(7, Double.NaN, 0, 0, 1200L),
+    "an infinite weight"  -> SpatialObj(7, Double.PositiveInfinity, 0, 0, 1200L),
+    "a zero weight"       -> SpatialObj(7, 0, 0, 0, 1200L),
+    "a negative weight"   -> SpatialObj(7, -2, 0, 0, 1200L),
+  )
+
+  for ((name, bad) <- malformed)
+    test(s"an arrival with $name is rejected, naming its id") {
+      val objs = IndexedSeq(SpatialObj(0, 1, 0, 0, 1000L), bad, SpatialObj(8, 1, 1, 1, 1500L))
+      val ex   = intercept[IllegalArgumentException](EventStream.fromObjects(objs, W).toVector)
+      assert(ex.getMessage.contains("object 7"), ex.getMessage)
+    }
+
   /** All 3n events stably sorted by (time, Expired < Grown < New, arrival
     * index); without a drained tail, cut after the last `New`.
     */
