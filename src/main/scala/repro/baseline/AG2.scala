@@ -1,7 +1,6 @@
 package repro.baseline
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 import repro.core._
 
 /** Modified aG2 (Amagata & Hara, EDBT 2016), adapted to the SURGE burst
@@ -28,7 +27,6 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
   private val rects   = mutable.LongMap.empty[Rect]
   private val heap    = new IndexedMaxHeap[Rect]
   private val overlap = new Array[Long](Grid.MaxOverlap) // keys of one rect's cells
-  private val stash   = ArrayBuffer.empty[Rect]          // rects popped by one query
 
   /** A live rectangle object: its graph edges, its cached candidate, and
     * its upper bound as its heap priority.
@@ -39,6 +37,12 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
     var valid: Boolean = false
 
     def setBound(u: Double): Unit = { valid = false; heap.update(this, u) }
+  }
+
+  private val candidates = new Candidates[Rect] {
+    def isValid(r: Rect): Boolean = r.valid
+    def revalidate(r: Rect): Unit = search(r)
+    def score(r: Rect): Double = r.cand.score
   }
 
   var now: Long = Long.MinValue
@@ -123,21 +127,8 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
     * global bursty point.
     */
   def query(): Option[BurstyPoint] = {
-    var best: BurstyPoint = null
-    var done = false
-    while (!done) {
-      val r = heap.peekMax
-      if (r == null || (best != null && r.priority <= best.score + 1e-9)) done = true
-      else if (!r.valid) search(r)
-      else {
-        if (best == null || r.cand.score > best.score) best = r.cand
-        heap.popMax()
-        stash += r
-      }
-    }
-    stash.foreach(r => heap.update(r, r.priority))
-    stash.clear()
-    Option(best)
+    val r = heap.bestValid(candidates)
+    if (r == null) None else Some(r.cand)
   }
 
   private def search(r: Rect): Unit = {

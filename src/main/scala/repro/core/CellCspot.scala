@@ -1,7 +1,6 @@
 package repro.core
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 
 /** Upper-bound discipline of a [[CellCspot]] instance (Section VII-A):
   * `Full` = CCS (static Eqn 2 + dynamic Eqn 3 bounds, candidate reuse),
@@ -43,33 +42,38 @@ final class CspotStats {
   * whose candidate is invalid, and stops as soon as no bound exceeds the
   * best candidate score found — the lazy update strategy of Section IV-C1.
   *
-  * Exactness note: whenever a candidate stays valid under Lemma 4, its
-  * tracked score gains exactly the increment applied to `U_d`, so for valid
-  * candidates `U(c) = S(c.p)` and the first valid heap top is the answer.
+  * Every update is one [[move]] of a rect `from` one window `to` another
+  * (an event, or a top-k level change), which shifts each covered point's
+  * scores by `(Δf_c, Δf_p) = w/|W|·([to=Cur]−[from=Cur], [to=Past]−[from=Past])`.
+  * In each cell the rect overlaps:
+  *  - `U_s += Δf_c`;
+  *  - a *raising* move (`Δf_c ≥ 0 ∧ Δf_p ≤ 0`) adds `Δf_c − α·Δf_p` to
+  *    `U_d`, which bounds any point's gain because `S` is the larger of
+  *    `f_c − α·f_p` and `(1−α)·f_c`. Every other move has
+  *    `Δf_c ≤ 0 ≤ Δf_p`, so it lowers every score (`S` rises with `f_c` and
+  *    falls with `f_p`) and leaves `U_d` alone;
+  *  - the candidate stays valid (Lemma 4) after a raising move only if the
+  *    rect covers it and `f_c ≥ f_p` held before the move, and after any
+  *    other move only if the rect misses it.
+  *
+  * Exactness note: a raising move cannot shrink `f_c − f_p`, so a covered
+  * candidate with `f_c ≥ f_p` stays on the `f_c − α·f_p` branch of `S` and
+  * gains exactly the increment applied to `U_d`. So for valid candidates
+  * `U(c) = S(c.p)` and the first valid heap top is the answer.
   */
-final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full,
-                      externalPast: Option[Long => Boolean] = None) {
-  import EventKind._
-
+final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full) {
   private val grid    = new Grid(cfg.rectW, cfg.rectH)
   private val cells   = mutable.LongMap.empty[Cell]
   private val heap    = new IndexedMaxHeap[Cell]
-  private val overlap = new Array[Long](Grid.MaxOverlap) // keys of one event's cells
-  private val stash   = ArrayBuffer.empty[Cell]          // cells popped by one query
+  private val overlap = new Array[Long](Grid.MaxOverlap) // keys of one move's cells
 
-  // Window membership is *event-driven*: an object is Past from the moment
-  // its Grown event is processed until its Expired event removes it. This
-  // keeps searches consistent with the incrementally-tracked bounds and
-  // candidates when several events share one firing timestamp. The top-k
-  // orchestrator shares one membership oracle across its layers via
-  // `externalPast` (layers never see events of rects invisible to them).
+  // Window membership is *move-driven*: an object is Past from the moment
+  // it moves there (its Grown event) until it moves out (its Expired
+  // event). This keeps searches consistent with the incrementally-tracked
+  // bounds and candidates when several events share one firing timestamp.
   private val pastIds = mutable.HashSet.empty[Long]
-  private def isPast(id: Long): Boolean = externalPast match {
-    case Some(f) => f(id)
-    case None    => pastIds.contains(id)
-  }
   private val winOf: SpatialObj => Win =
-    o => if (isPast(o.id)) Win.Past else Win.Cur
+    o => if (pastIds.contains(o.id)) Win.Past else Win.Cur
 
   /** Wall-clock of the last processed event. */
   var now: Long = Long.MinValue
@@ -102,16 +106,13 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
       cx = p.x; cy = p.y; cfc = p.fc; cfp = p.fp; cscore = p.score
     }
 
-    /** Moves the candidate's scores by `(dfc, dfp)` if `obox` covers it and
-      * returns whether it did.
-      */
-    def shiftCand(obox: Box, dfc: Double, dfp: Double): Boolean = {
-      val covered = obox.contains(cx, cy)
-      if (covered) { cfc += dfc; cfp += dfp; cscore = cfg.burst(cfc, cfp) }
-      covered
-    }
-
     def candidate: BurstyPoint = BurstyPoint(cx, cy, cfc, cfp, cscore)
+  }
+
+  private val candidates = new Candidates[Cell] {
+    def isValid(c: Cell): Boolean = c.candValid
+    def revalidate(c: Cell): Unit = { searchCell(c); heap.update(c, c.bound) }
+    def score(c: Cell): Double = c.cscore
   }
 
   /** Number of live (non-empty) cells. */
@@ -142,39 +143,40 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     */
   def process(e: Event): Unit = {
     now = e.at
-    val o    = e.obj
+    move(e.obj, e.kind.from, e.kind.to)
+  }
+
+  /** Move rect `o` from window `from` to window `to` while the clock stands
+    * still, applying the move rule of the class comment to every cell `o`
+    * overlaps. Events are the moves Out→Cur, Cur→Past and Past→Out; the
+    * top-k extension (Section VI-B) also moves rects in to Past and out
+    * from Cur as their level changes.
+    *
+    * @throws IllegalArgumentException if `o.id` is already in a cell `o`
+    *   moves into from `Out`, or already Past when `o` moves to `Past`
+    */
+  def move(o: SpatialObj, from: Win, to: Win): Unit = {
+    val d   = cfg.delta(o.w)
+    val dfc = (if (to == Win.Cur) d else 0.0) - (if (from == Win.Cur) d else 0.0)
+    val dfp = (if (to == Win.Past) d else 0.0) - (if (from == Win.Past) d else 0.0)
+    val raising = dfc >= 0.0 && dfp <= 0.0
+    if (from == Win.Past) pastIds -= o.id
+    if (to == Win.Past && !pastIds.add(o.id)) throw duplicate(o)
     val obox = cfg.rectBox(o)
-    val d    = cfg.delta(o.w)
-    if (externalPast.isEmpty) e.kind match {
-      case Grown   => pastIds += o.id
-      case Expired => pastIds -= o.id
-      case New     => ()
-    }
-    val n = grid.cellsOverlapping(obox, overlap)
-    var k = 0
+    val n    = grid.cellsOverlapping(obox, overlap)
+    var k    = 0
     while (k < n) {
-      val key = overlap(k)
-      val c   = if (e.kind == New) cellAt(key) else cells.getOrNull(key)
+      val c = if (from == Win.Out) cellAt(overlap(k)) else cells.getOrNull(overlap(k))
       if (c != null) {
-        e.kind match {
-          case New     => c.rects.update(o.id, o); c.us += d; c.ud += d
-          case Grown   => c.us -= d // Eqn 3: dynamic bound unchanged
-          case Expired => c.rects.remove(o.id); c.ud += cfg.alpha * d
-        }
+        if (from == Win.Out) { if (c.rects.put(o.id, o).isDefined) throw duplicate(o) }
+        else if (to == Win.Out) c.rects.remove(o.id)
+        c.us += dfc
+        if (raising) c.ud += dfc - cfg.alpha * dfp
         if (c.hasCand) {
           val pre     = c.cfc - c.cfp
-          val covered = e.kind match {
-            case New     => c.shiftCand(obox, d, 0.0)
-            case Grown   => c.shiftCand(obox, -d, d)
-            case Expired => c.shiftCand(obox, 0.0, -d)
-          }
-          if (c.candValid) {
-            // Lemma 4 (conservative form, evaluated on pre-event scores).
-            c.candValid = e.kind match {
-              case New | Expired => covered && pre >= -1e-9
-              case Grown         => !covered
-            }
-          }
+          val covered = obox.contains(c.cx, c.cy)
+          if (covered) { c.cfc += dfc; c.cfp += dfp; c.cscore = cfg.burst(c.cfc, c.cfp) }
+          if (c.candValid) c.candValid = if (raising) covered && pre >= -1e-9 else !covered
         }
         finishCellUpdate(c)
       }
@@ -182,52 +184,8 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     }
   }
 
-  /** Synthetic insert/remove used by the top-k extension (Section VI-B):
-    * rectangle `o` becomes (in)visible to this instance while the clock
-    * stands still. Bound and validity maintenance mirror the Lemma 3/4 case
-    * analysis: inserting a current-window rect behaves like `New`, removing
-    * a past-window rect behaves like `Expired`, and the two score-decreasing
-    * cases leave the dynamic bound untouched.
-    */
-  def synthetic(o: SpatialObj, insert: Boolean): Unit = {
-    val isCur = !isPast(o.id)
-    val obox  = cfg.rectBox(o)
-    val d     = cfg.delta(o.w)
-    val n     = grid.cellsOverlapping(obox, overlap)
-    var k     = 0
-    while (k < n) {
-      val key = overlap(k)
-      val c   = if (insert) cellAt(key) else cells.getOrNull(key)
-      if (c != null) {
-        if (insert) {
-          c.rects.update(o.id, o)
-          if (isCur) { c.us += d; c.ud += d }
-        } else {
-          c.rects.remove(o.id)
-          if (isCur) c.us -= d
-          else c.ud += cfg.alpha * d
-        }
-        if (c.hasCand) {
-          val pre     = c.cfc - c.cfp
-          val covered = (insert, isCur) match {
-            case (true, true)   => c.shiftCand(obox, d, 0.0)
-            case (true, false)  => c.shiftCand(obox, 0.0, d)
-            case (false, true)  => c.shiftCand(obox, -d, 0.0)
-            case (false, false) => c.shiftCand(obox, 0.0, -d)
-          }
-          if (c.candValid) {
-            c.candValid = (insert, isCur) match {
-              case (true, true)   => covered && pre >= -1e-9 // like New
-              case (false, false) => covered && pre >= -1e-9 // like Expired
-              case _              => !covered                // score-decreasing cases
-            }
-          }
-        }
-        finishCellUpdate(c)
-      }
-      k += 1
-    }
-  }
+  private def duplicate(o: SpatialObj) =
+    new IllegalArgumentException(s"object id ${o.id} is already live")
 
   /** The cell at `key`, created empty if absent. */
   private def cellAt(key: Long): Cell = {
@@ -261,27 +219,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     * Idempotent; may be called as often or as rarely as the caller likes.
     */
   def query(): Option[BurstyPoint] = {
-    if (mode == BoundMode.NoBounds) {
-      val c = heap.peekMax
-      return if (c == null) None else Some(c.candidate)
-    }
-    var best: Cell = null
-    var done = false
-    while (!done) {
-      val c = heap.peekMax
-      if (c == null || (best != null && c.priority <= best.cscore + 1e-9)) done = true
-      else if (!c.candValid) {
-        searchCell(c)
-        heap.update(c, c.bound)
-      } else {
-        if (best == null || c.cscore > best.cscore) best = c
-        heap.popMax()
-        stash += c
-      }
-    }
-    var k = 0
-    while (k < stash.length) { val c = stash(k); heap.update(c, c.bound); k += 1 }
-    stash.clear()
-    if (best == null) None else Some(best.candidate)
+    val c = if (mode == BoundMode.NoBounds) heap.peekMax else heap.bestValid(candidates)
+    if (c == null) None else Some(c.candidate)
   }
 }

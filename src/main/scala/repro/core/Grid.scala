@@ -17,6 +17,10 @@ final class Grid(val cellW: Double, val cellH: Double,
   // Boundary coordinates resolve to the right/upper cell via floor semantics.
   private def col(x: Double): Long = math.floor((x - offX) / cellW).toLong
   private def row(y: Double): Long = math.floor((y - offY) / cellH).toLong
+  // The lowest column (row) whose closed cell reaches coordinate `x` (`y`):
+  // on a grid line that is the cell left of (below) the one `col` picks.
+  private def firstCol(x: Double): Long = { val i = col(x); if (offX + (i - 1) * cellW + cellW >= x) i - 1 else i }
+  private def firstRow(y: Double): Long = { val j = row(y); if (offY + (j - 1) * cellH + cellH >= y) j - 1 else j }
 
   /** Cell containing point `(x, y)`. */
   def cellOf(x: Double, y: Double): (Long, Long) = (col(x), row(y))
@@ -45,9 +49,9 @@ final class Grid(val cellW: Double, val cellH: Double,
     * @throws IllegalArgumentException if `out` is too short
     */
   def cellsOverlapping(b: Box, out: Array[Long]): Int = {
-    val i0 = col(b.x0)
+    val i0 = firstCol(b.x0)
     val i1 = col(b.x1)
-    val j0 = row(b.y0)
+    val j0 = firstRow(b.y0)
     val j1 = row(b.y1)
     val count = (i1 - i0 + 1) * (j1 - j0 + 1)
     require(count <= out.length, s"$b overlaps $count cells, room for ${out.length}")
@@ -63,7 +67,7 @@ final class Grid(val cellW: Double, val cellH: Double,
 
   /** The `(i, j)` form of the overload above. */
   def cellsOverlapping(b: Box): IndexedSeq[(Long, Long)] = {
-    val out = new Array[Long](((col(b.x1) - col(b.x0) + 1) * (row(b.y1) - row(b.y0) + 1)).toInt)
+    val out = new Array[Long](((col(b.x1) - firstCol(b.x0) + 1) * (row(b.y1) - firstRow(b.y0) + 1)).toInt)
     cellsOverlapping(b, out)
     out.toIndexedSeq.map(Grid.unpack)
   }

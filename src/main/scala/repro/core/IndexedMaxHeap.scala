@@ -12,6 +12,16 @@ abstract class HeapNode {
   final def priority: Double = prio
 }
 
+/** What [[IndexedMaxHeap.bestValid]] needs to know about a node's cached
+  * candidate: whether it is valid, how to recompute it, and its score.
+  */
+trait Candidates[N] {
+  def isValid(x: N): Boolean
+  /** Recompute `x`'s candidate and update its priority if that changes. */
+  def revalidate(x: N): Unit
+  def score(x: N): Double
+}
+
 /** An array-backed binary max-heap over intrusive [[HeapNode]]s.
   *
   * Both Cell-CSPOT and GAP-SURGE maintain "a heap over cells by upper bound /
@@ -21,8 +31,9 @@ abstract class HeapNode {
   * allocation beyond the amortised growth of the slot array.
   */
 final class IndexedMaxHeap[N <: HeapNode] {
-  private var nodes = new Array[HeapNode](16)
-  private var n     = 0
+  private var nodes  = new Array[HeapNode](16)
+  private var n      = 0
+  private var popped = new Array[HeapNode](0) // nodes set aside by one bestValid
 
   /** Number of nodes in the heap. */
   def size: Int = n
@@ -65,6 +76,41 @@ final class IndexedMaxHeap[N <: HeapNode] {
     val top = peekMax
     if (top != null) remove(top)
     top
+  }
+
+  /** The lazy branch-and-bound of Section IV-C1, for priorities that bound
+    * their node's candidate score from above: the node with the best valid
+    * candidate, or null when the heap is empty. Walks nodes in descending
+    * priority, revalidates an invalid top, sets a valid top aside, and stops
+    * once no priority exceeds the best score by more than `1e-9`. The nodes
+    * set aside return with their priorities, in the order they left.
+    */
+  def bestValid(cs: Candidates[N]): N = {
+    var best: N = null.asInstanceOf[N]
+    var bestScore = 0.0
+    var m = 0
+    var done = false
+    while (!done) {
+      val x = peekMax
+      if (x == null || (best != null && x.prio <= bestScore + 1e-9)) done = true
+      else if (!cs.isValid(x)) cs.revalidate(x)
+      else {
+        val s = cs.score(x)
+        if (best == null || s > bestScore) { best = x; bestScore = s }
+        remove(x)
+        if (m == popped.length) popped = java.util.Arrays.copyOf(popped, math.max(16, 2 * m))
+        popped(m) = x
+        m += 1
+      }
+    }
+    var i = 0
+    while (i < m) {
+      val x = popped(i).asInstanceOf[N]
+      popped(i) = null
+      update(x, x.prio)
+      i += 1
+    }
+    best
   }
 
   /** Place `x` at hole `i`, moving it towards the root past smaller parents. */

@@ -48,12 +48,13 @@ object Win {
 
 /** The three event types of Section IV-C: a rectangle object entering the
   * current window, moving from current to past, or leaving the past window.
+  * Each is a move of the rect `from` one window `to` another.
   */
-sealed abstract class EventKind extends Serializable
+sealed abstract class EventKind(val from: Win, val to: Win) extends Serializable
 object EventKind {
-  case object New     extends EventKind
-  case object Grown   extends EventKind
-  case object Expired extends EventKind
+  case object New     extends EventKind(Win.Out, Win.Cur)
+  case object Grown   extends EventKind(Win.Cur, Win.Past)
+  case object Expired extends EventKind(Win.Past, Win.Out)
 }
 
 /** An event `e = ⟨g, l⟩` together with the wall-clock time it fires at. */

@@ -10,26 +10,26 @@ import repro.core._
   * level of a rect is the order of the first selected point it covers (k if
   * it covers none). We materialise each problem as its own lazily-maintained
   * [[CellCspot]] layer, so all of Algorithm 2's sharing (upper bounds,
-  * candidate points, lazy search) applies per layer, and level changes are
-  * propagated to higher layers as synthetic insert/remove updates — the
-  * computation-sharing scheme of Section VI-B:
-  *  - a rect that starts covering `p[i]` is pinned to level i and removed
-  *    from layers i+1..oldLevel;
-  *  - a rect that stops covering `p[i]` is released to level k and
-  *    re-inserted into layers i+1..k;
+  * candidate points, lazy search) applies per layer. A level change is one
+  * [[CellCspot.move]] per layer whose view changes, between `Out` and the
+  * rect's window `w` — the computation-sharing scheme of Section VI-B:
+  *  - a rect that starts covering `p[i]` is pinned to level i and moves
+  *    `w`→Out in layers i+1..oldLevel;
+  *  - a rect that stops covering `p[i]` is released to level k and moves
+  *    Out→`w` in layers i+1..k;
   *  - a cell untouched by any of this keeps its bounds and candidates in
   *    every layer.
+  * Each layer owns the window membership of the rects visible to it, and
+  * sees the events of exactly those rects.
   */
 final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   import EventKind._
   require(k >= 1)
 
-  // One membership oracle shared by every layer: a layer never sees the
-  // Grown/Expired events of rects invisible to it, so window membership is
-  // tracked here (event-driven, consistent with CellCspot's discipline).
+  // Past rects, event-driven as in CellCspot: the window a level change
+  // moves a rect out of or into.
   private val pastIds = mutable.HashSet.empty[Long]
-  private val layers =
-    Array.fill(k)(new CellCspot(cfg, BoundMode.Full, externalPast = Some(pastIds.contains)))
+  private val layers = Array.fill(k)(new CellCspot(cfg, BoundMode.Full))
   private val objs   = mutable.HashMap.empty[Long, SpatialObj]
   private val lvl    = mutable.HashMap.empty[Long, Int]
   // coverIds(i) = ids currently pinned at level i by step i's selection
@@ -100,15 +100,16 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
     val from = lvl(id)
     if (from == to) return
     val o = objs(id)
+    val w = if (pastIds.contains(id)) Win.Past else Win.Cur
     lvl(id) = to
     if (to > from) {
       // becoming visible to layers from+1 .. to
       var j = from + 1
-      while (j <= to) { layers(j - 1).synthetic(o, insert = true); j += 1 }
+      while (j <= to) { layers(j - 1).move(o, Win.Out, w); j += 1 }
     } else {
       // becoming invisible to layers to+1 .. from
       var j = to + 1
-      while (j <= from) { layers(j - 1).synthetic(o, insert = false); j += 1 }
+      while (j <= from) { layers(j - 1).move(o, w, Win.Out); j += 1 }
     }
   }
 }

@@ -11,33 +11,38 @@ import repro.stream.EventStream
   */
 class CellCspotSpec extends AnyFunSuite {
 
+  private val modes = Seq(BoundMode.Full, BoundMode.StaticOnly, BoundMode.NoBounds)
+
+  /** `got` must score the brute-force optimum over `live` at `now`, and its
+    * tracked scores must be the true scores at its point.
+    */
+  private def check(got: Option[BurstyPoint], live: IndexedSeq[SpatialObj], now: Long,
+                    cfg: SurgeConfig, at: => String): Unit =
+    (got, BruteForce.burstyPoint(live, now, cfg)) match {
+      case (None, None) => ()
+      case (Some(g), Some(b)) =>
+        assert(math.abs(g.score - b.score) < 1e-6, s"$at: got ${g.score}, brute ${b.score}")
+        val chk = BruteForce.scoreAt(live, now, cfg, g.x, g.y)
+        assert(math.abs(chk.score - g.score) < 1e-6, s"$at: stale candidate $g vs $chk")
+      case (g, b) => fail(s"$at: presence mismatch got=$g brute=$b")
+    }
+
   private def replay(objs: IndexedSeq[SpatialObj], cfg: SurgeConfig, mode: BoundMode): Unit = {
     val algo = new CellCspot(cfg, mode)
     val live = new LiveSet(cfg.windowMillis)
     EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
       live(e)
-      val got = algo.onEvent(e)
-      val exp = BruteForce.burstyPoint(live.objectsAt(e.at), e.at, cfg)
-      (got, exp) match {
-        case (None, None) => ()
-        case (Some(g), Some(b)) =>
-          assert(math.abs(g.score - b.score) < 1e-6,
-                 s"$mode at ${e.kind}@${e.at}: got ${g.score}, brute ${b.score}")
-          // the reported point's tracked scores are the true scores there
-          val chk = BruteForce.scoreAt(live.objectsAt(e.at), e.at, cfg, g.x, g.y)
-          assert(math.abs(chk.score - g.score) < 1e-6, s"$mode: stale candidate $g vs $chk")
-        case (g, b) => fail(s"$mode: presence mismatch got=$g brute=$b at ${e.kind}@${e.at}")
-      }
+      check(algo.onEvent(e), live.objectsAt(e.at), e.at, cfg, s"$mode at ${e.kind}@${e.at}")
     }
   }
 
-  for (mode <- Seq(BoundMode.Full, BoundMode.StaticOnly, BoundMode.NoBounds); seed <- 0 until 12)
+  for (mode <- modes; seed <- 0 until 12)
     test(s"$mode matches brute force after every event (uniform), seed $seed") {
       val cfg = TestGen.cfg(windowMillis = 1000L, alpha = (seed % 10) / 10.0)
       replay(TestGen.stream(seed, 40), cfg, mode)
     }
 
-  for (mode <- Seq(BoundMode.Full, BoundMode.StaticOnly, BoundMode.NoBounds); seed <- 0 until 8)
+  for (mode <- modes; seed <- 0 until 8)
     test(s"$mode matches brute force after every event (clustered), seed $seed") {
       val cfg = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
       replay(TestGen.clusteredStream(seed, 45), cfg, mode)
@@ -47,6 +52,55 @@ class CellCspotSpec extends AnyFunSuite {
     test(s"non-unit rectangle sizes, seed $seed") {
       val cfg = TestGen.cfg(windowMillis = 1000L, alpha = 0.5, rectW = 1.7, rectH = 0.6)
       replay(TestGen.stream(seed, 35), cfg, BoundMode.Full)
+    }
+
+  // Integer weights make score ties common, and lattice corners put rect
+  // edges on cell lines (a rect then overlaps 9 cells); α at 0 and 0.99
+  // are the edges of the dynamic-bound and validity rules.
+  for (mode <- modes; alpha <- Seq(0.0, 0.99); seed <- 0 until 6)
+    test(s"$mode matches brute force on a 0.5 lattice with integer weights, alpha $alpha, seed $seed") {
+      val cfg = TestGen.cfg(windowMillis = 1000L, alpha = alpha)
+      replay(TestGen.stream(seed, 50, ext = 3.0, intWeights = true, lattice = true), cfg, mode)
+    }
+
+  for (mode <- modes; seed <- 0 until 4)
+    test(s"$mode: moves Cur→Out, Out→Past and back match brute force, seed $seed") {
+      val cfg    = TestGen.cfg(windowMillis = 1000L, alpha = 0.5)
+      val algo   = new CellCspot(cfg, mode)
+      val live   = new LiveSet(cfg.windowMillis)
+      val events = EventStream.fromObjects(TestGen.clusteredStream(seed, 45), cfg.windowMillis).toIndexedSeq
+      val (prefix, rest) = events.splitAt(events.length / 2)
+      prefix.foreach { e => live(e); algo.onEvent(e) }
+      val now = algo.now
+      // Current rects covering the reported point, so each move changes it.
+      val p      = algo.query().get
+      val movers = live.cur.values.filter(o => cfg.rectBox(o).contains(p.x, p.y)).take(3).toList
+      assert(movers.nonEmpty)
+      movers.foreach { o =>
+        def step(from: Win, to: Win): Unit = {
+          algo.move(o, from, to)
+          live.cur.remove(o.id); live.past.remove(o.id)
+          if (to == Win.Cur) live.cur(o.id) = o
+          if (to == Win.Past) live.past(o.id) = o
+          check(algo.query(), live.objectsAt(now), now, cfg, s"$mode: ${o.id} $from→$to")
+        }
+        step(Win.Cur, Win.Out); step(Win.Out, Win.Past); step(Win.Past, Win.Out); step(Win.Out, Win.Cur)
+      }
+      rest.foreach { e =>
+        live(e)
+        check(algo.onEvent(e), live.objectsAt(e.at), e.at, cfg, s"$mode at ${e.kind}@${e.at}")
+      }
+    }
+
+  // In disjoint cells the duplicate is caught when its second copy turns Past.
+  for ((where, x) <- Seq(("the same cell", 0.3), ("disjoint cells", 5.2)))
+    test(s"a repeated live id in $where fails loudly") {
+      val algo = new CellCspot(TestGen.cfg(), BoundMode.Full)
+      val objs = Seq(SpatialObj(7L, 1.0, 0.2, 0.2, 10000L), SpatialObj(7L, 1.0, x, x, 10100L))
+      val err = intercept[IllegalArgumentException] {
+        EventStream.fromObjects(objs, 1000L).foreach(algo.onEvent)
+      }
+      assert(err.getMessage.contains("id 7"))
     }
 
   test("Theorem 1: region with top-right corner at the bursty point scores the same") {

@@ -63,6 +63,22 @@ class GridSpec extends AnyFunSuite {
     assert(keys.contains((3L, 4L)))
   }
 
+  test("a grid-aligned cell-sized rect maps to all 9 closed-touching cells") {
+    val g = new Grid(1.0, 1.0)
+    val keys = g.cellsOverlapping(Box(2.0, 3.0, 3.0, 4.0)).toSet
+    assert(keys == (for (i <- 1L to 3L; j <- 2L to 4L) yield (i, j)).toSet)
+    val out = new Array[Long](Grid.MaxOverlap)
+    assert(g.cellsOverlapping(Box(2.0, 3.0, 3.0, 4.0), out) == 9)
+  }
+
+  test("cellsOverlapping returns exactly the closed-intersecting cells of lattice boxes") {
+    for (g <- Seq(new Grid(1.0, 1.0), new Grid(0.5, 1.5, 0.5, -0.5)); x <- 0 to 16; y <- 0 to 16) {
+      val b   = Box(x * 0.25, y * 0.25, x * 0.25 + g.cellW, y * 0.25 + g.cellH)
+      val exp = for (i <- -4L to 12L; j <- -4L to 12L if g.cellBox((i, j)).intersectsClosed(b)) yield (i, j)
+      assert(g.cellsOverlapping(b).toSet == exp.toSet, s"$b")
+    }
+  }
+
   test("pack and unpack round-trip, including negative indices") {
     val g = new Grid(1.0, 1.0, 0.5, 0.5)
     assert(g.cellOf(0.4, 0.4) == (-1L, -1L))

@@ -121,4 +121,39 @@ class LazyMaxHeapSpec extends AnyFunSuite {
       }
       assert(h.size == ref.size)
     }
+
+  /** A node whose priority bounds its candidate's `score` from above. */
+  private final class Cand(val key: String, val score: Double, var valid: Boolean) extends HeapNode
+
+  private def candidates(h: IndexedMaxHeap[Cand], searched: mutable.Buffer[String]) =
+    new Candidates[Cand] {
+      def isValid(x: Cand): Boolean = x.valid
+      def revalidate(x: Cand): Unit = { searched += x.key; x.valid = true; h.update(x, x.score) }
+      def score(x: Cand): Double = x.score
+    }
+
+  test("bestValid searches only tops that may beat the best, then restores the heap") {
+    val h        = new IndexedMaxHeap[Cand]
+    val searched = mutable.ArrayBuffer.empty[String]
+    val a = new Cand("a", 4.0, valid = false)
+    val b = new Cand("b", 7.0, valid = true)
+    val c = new Cand("c", 6.0, valid = false) // bound 6.5 cannot beat b's 7
+    val d = new Cand("d", 1.0, valid = true)
+    h.update(a, 9.0); h.update(b, 7.0); h.update(c, 6.5); h.update(d, 1.0)
+    assert(h.bestValid(candidates(h, searched)) eq b)
+    assert(searched == Seq("a"))
+    assert(h.size == 4)
+    assert(Seq(a, b, c, d).map(_.priority) == Seq(4.0, 7.0, 6.5, 1.0))
+    assert(Seq.fill(4)(h.popMax().key) == Seq("b", "c", "a", "d"))
+  }
+
+  test("bestValid keeps the higher of two valid candidates under loose bounds") {
+    val h = new IndexedMaxHeap[Cand]
+    val a = new Cand("a", 2.0, valid = true) // loose bound 9
+    val b = new Cand("b", 5.0, valid = true)
+    h.update(a, 9.0); h.update(b, 5.0)
+    assert(h.bestValid(candidates(h, mutable.ArrayBuffer.empty)) eq b)
+    assert(h.size == 2 && h.peekMax.eq(a))
+    assert(new IndexedMaxHeap[Cand].bestValid(candidates(h, mutable.ArrayBuffer.empty)) == null)
+  }
 }

@@ -34,6 +34,21 @@ class TopKSpec extends AnyFunSuite {
       }
     }
 
+  for (alpha <- Seq(0.0, 0.99); seed <- 0 until 4)
+    test(s"kCCS matches brute-force greedy top-3 at alpha $alpha, seed $seed") {
+      val cfg  = TestGen.cfg(windowMillis = 1000L, alpha = alpha)
+      val algo = new KCellCspot(cfg, 3)
+      val live = new LiveSet(cfg.windowMillis)
+      EventStream.fromObjects(TestGen.clusteredStream(seed, 35), cfg.windowMillis).foreach { e =>
+        live(e)
+        val got = scores(algo.onEvent(e))
+        val exp = scores(BruteForce.topK(live.objectsAt(e.at), e.at, cfg, 3))
+        got.zip(exp).foreach { case (g, x) =>
+          assert(math.abs(g - x) < 1e-6, s"alpha $alpha at ${e.kind}@${e.at}: got=$got exp=$exp")
+        }
+      }
+    }
+
   for (seed <- 0 until 5)
     test(s"kCCS on clustered streams, k=3, seed $seed") {
       val cfg  = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
