@@ -18,21 +18,27 @@ import repro.core._
   * sweep with SL-CSPOT) until no bound exceeds the best score found.
   * Cached per-rect candidates are conservatively invalidated by any
   * overlapping event.
+  *
+  * An event moves its rect `from` one window `to` another: the rect joins
+  * the graph on a move from `Out` and leaves it on a move to `Out`, and in
+  * between the rect's and each neighbour's bound grows by the move's
+  * `Δf_c` ([[SurgeConfig.deltaFc]]) and its candidate is invalidated.
   */
 final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
-  import EventKind._
-
   private val grid    = new Grid(cfg.rectW * cellFactor, cfg.rectH * cellFactor)
   private val cells   = mutable.LongMap.empty[mutable.LinkedHashMap[Long, SpatialObj]]
   private val rects   = mutable.LongMap.empty[Rect]
   private val heap    = new IndexedMaxHeap[Rect]
   private val overlap = new Array[Long](Grid.MaxOverlap) // keys of one rect's cells
 
-  /** A live rectangle object: its graph edges, its cached candidate, and
-    * its upper bound as its heap priority.
+  /** A live rectangle object: its graph edges, its window, its cached
+    * candidate, and its upper bound as its heap priority.
     */
   private final class Rect(val obj: SpatialObj) extends HeapNode {
     val nbrs = mutable.HashSet.empty[Long]
+    // Window membership is move-driven (see CellCspot): Past from the
+    // rect's Grown event until its Expired event removes it.
+    var past: Boolean = false
     var cand: BurstyPoint = _
     var valid: Boolean = false
 
@@ -45,81 +51,73 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
     def score(r: Rect): Double = r.cand.score
   }
 
-  var now: Long = Long.MinValue
   val stats = new CspotStats
-  private var searchedThisMessage = false
 
-  // Event-driven window membership (see CellCspot): Past from the processed
-  // Grown event until the Expired event removes the rect.
-  private val pastIds = mutable.HashSet.empty[Long]
   private val winOf: SpatialObj => Win =
-    o => if (pastIds.contains(o.id)) Win.Past else Win.Cur
+    o => if (rects(o.id).past) Win.Past else Win.Cur
 
   /** Current number of graph edges (space-cost accounting, Section II). */
   def edgeCount: Long = rects.valuesIterator.map(_.nbrs.size.toLong).sum / 2
 
-  def onEvent(e: Event): Option[BurstyPoint] = {
-    stats.messages += 1
-    searchedThisMessage = false
-    process(e)
-    val r = query()
-    if (searchedThisMessage) stats.messagesWithSearch += 1
+  def onEvent(e: Event): Option[BurstyPoint] = { process(e); query() }
+
+  /** Apply one event, the move of its rect `from` one window `to` another.
+    *
+    * @throws IllegalArgumentException if the rect moves from `Out` while
+    *   its id is already live
+    */
+  def process(e: Event): Unit = {
+    val o   = e.obj
+    val dfc = cfg.deltaFc(o.w, e.kind.from, e.kind.to)
+    val r   = if (e.kind.from == Win.Out) link(o) else rects(o.id)
+    r.past = e.kind.to == Win.Past
+    r.nbrs.foreach { nid => val m = rects(nid); m.setBound(m.priority + dfc) }
+    if (e.kind.to == Win.Out) unlink(r) else r.setBound(r.priority + dfc)
+  }
+
+  /** Adds `o` to the graph, with the current-window weight of its
+    * neighbours as its bound.
+    */
+  private def link(o: SpatialObj): Rect = {
+    if (rects.contains(o.id)) throw new IllegalArgumentException(s"object id ${o.id} is already live")
+    val r   = new Rect(o)
+    val box = cfg.rectBox(o)
+    val n   = grid.cellsOverlapping(box, overlap)
+    var ub  = 0.0
+    var k   = 0
+    // Build the overlap edges through the cell lists.
+    while (k < n) {
+      val cl = cells.getOrElseUpdate(overlap(k), mutable.LinkedHashMap.empty)
+      cl.valuesIterator.foreach { m =>
+        if (cfg.rectBox(m).intersectsClosed(box) && r.nbrs.add(m.id)) {
+          val mr = rects(m.id)
+          mr.nbrs += o.id
+          if (!mr.past) ub += cfg.delta(m.w)
+        }
+      }
+      cl(o.id) = o
+      k += 1
+    }
+    rects(o.id) = r
+    r.setBound(ub)
     r
   }
 
-  def process(e: Event): Unit = {
-    now = e.at
-    val o   = e.obj
-    val d   = cfg.delta(o.w)
-    val box = cfg.rectBox(o)
-    e.kind match {
-      case New =>
-        val r = new Rect(o)
-        rects(o.id) = r
-        val n = grid.cellsOverlapping(box, overlap)
-        // Build the overlap edges through the cell lists.
-        var k = 0
-        while (k < n) {
-          cells.get(overlap(k)).foreach(_.valuesIterator.foreach { m =>
-            if (m.id != o.id && cfg.rectBox(m).intersectsClosed(box)) r.nbrs += m.id
-          })
-          k += 1
-        }
-        var selfUb = d
-        r.nbrs.foreach { nid =>
-          val m = rects(nid)
-          m.nbrs += o.id
-          if (!pastIds.contains(nid)) selfUb += cfg.delta(m.obj.w)
-          m.setBound(m.priority + d)
-        }
-        k = 0
-        while (k < n) {
-          cells.getOrElseUpdate(overlap(k), mutable.LinkedHashMap.empty).update(o.id, o)
-          k += 1
-        }
-        r.setBound(selfUb)
-      case Grown =>
-        pastIds += o.id
-        val r = rects(o.id)
-        r.nbrs.foreach { nid => val m = rects(nid); m.setBound(m.priority - d) }
-        r.setBound(r.priority - d)
-      case Expired =>
-        pastIds -= o.id
-        val r = rects.remove(o.id).get
-        // o was in the past window: its weight is no longer in any bound.
-        r.nbrs.foreach { nid => val m = rects(nid); m.nbrs -= o.id; m.valid = false }
-        val n = grid.cellsOverlapping(box, overlap)
-        var k = 0
-        while (k < n) {
-          val key = overlap(k)
-          cells.get(key).foreach { cl =>
-            cl.remove(o.id)
-            if (cl.isEmpty) cells.remove(key)
-          }
-          k += 1
-        }
-        heap.remove(r)
+  private def unlink(r: Rect): Unit = {
+    val o = r.obj
+    r.nbrs.foreach(nid => rects(nid).nbrs -= o.id)
+    val n = grid.cellsOverlapping(cfg.rectBox(o), overlap)
+    var k = 0
+    while (k < n) {
+      val key = overlap(k)
+      cells.get(key).foreach { cl =>
+        cl.remove(o.id)
+        if (cl.isEmpty) cells.remove(key)
+      }
+      k += 1
     }
+    rects.remove(o.id)
+    heap.remove(r)
   }
 
   /** Branch-and-bound over per-rect upper bounds. Every covered point lies
@@ -137,7 +135,6 @@ final class AG2(val cfg: SurgeConfig, val cellFactor: Double = 10.0) {
     val res   = SweepLine.burstyPoint(group, cfg.rectBox(o), cfg, winOf)
     stats.searches += 1
     stats.sweptRects += res.rectCount
-    searchedThisMessage = true
     r.cand = res.point.getOrElse(BurstyPoint(o.x, o.y, 0.0, 0.0, 0.0))
     r.valid = true
   }

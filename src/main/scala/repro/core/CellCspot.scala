@@ -14,16 +14,12 @@ object BoundMode {
   case object NoBounds   extends BoundMode
 }
 
-/** Search-cost counters for Table II and the runtime tables. */
+/** Search-cost counters: SL-CSPOT invocations and the rects they swept.
+  * Table II's per-event ratio is derived from `searches` by its driver.
+  */
 final class CspotStats {
-  var messages: Long = 0L
-  var messagesWithSearch: Long = 0L
   var searches: Long = 0L
   var sweptRects: Long = 0L
-
-  def reset(): Unit = { messages = 0; messagesWithSearch = 0; searches = 0; sweptRects = 0 }
-  def searchRatio: Double =
-    if (messages == 0) 0.0 else messagesWithSearch.toDouble / messages
 }
 
 /** Cell-CSPOT (Algorithm 2): exact continuous bursty-point detection.
@@ -44,7 +40,7 @@ final class CspotStats {
   *
   * Every update is one [[move]] of a rect `from` one window `to` another
   * (an event, or a top-k level change), which shifts each covered point's
-  * scores by `(Δf_c, Δf_p) = w/|W|·([to=Cur]−[from=Cur], [to=Past]−[from=Past])`.
+  * scores by `(Δf_c, Δf_p) = w/|W|·(to − from)` ([[SurgeConfig.deltaFc]]).
   * In each cell the rect overlaps:
   *  - `U_s += Δf_c`;
   *  - a *raising* move (`Δf_c ≥ 0 ∧ Δf_p ≤ 0`) adds `Δf_c − α·Δf_p` to
@@ -79,7 +75,6 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
   var now: Long = Long.MinValue
 
   val stats = new CspotStats
-  private var searchedThisMessage = false
 
   private final class Cell(val key: Long) extends HeapNode {
     val rects = mutable.LinkedHashMap.empty[Long, SpatialObj]
@@ -128,14 +123,7 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     }
 
   /** Process one event and report the current bursty point (Algorithm 2). */
-  def onEvent(e: Event): Option[BurstyPoint] = {
-    stats.messages += 1
-    searchedThisMessage = false
-    process(e)
-    val r = query()
-    if (searchedThisMessage) stats.messagesWithSearch += 1
-    r
-  }
+  def onEvent(e: Event): Option[BurstyPoint] = { process(e); query() }
 
   /** Apply an event's bound/candidate updates without querying — used when a
     * caller samples queries sparsely (the structures stay exact; searches
@@ -156,9 +144,8 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     *   moves into from `Out`, or already Past when `o` moves to `Past`
     */
   def move(o: SpatialObj, from: Win, to: Win): Unit = {
-    val d   = cfg.delta(o.w)
-    val dfc = (if (to == Win.Cur) d else 0.0) - (if (from == Win.Cur) d else 0.0)
-    val dfp = (if (to == Win.Past) d else 0.0) - (if (from == Win.Past) d else 0.0)
+    val dfc = cfg.deltaFc(o.w, from, to)
+    val dfp = cfg.deltaFp(o.w, from, to)
     val raising = dfc >= 0.0 && dfp <= 0.0
     if (from == Win.Past) pastIds -= o.id
     if (to == Win.Past && !pastIds.add(o.id)) throw duplicate(o)
@@ -209,7 +196,6 @@ final class CellCspot(val cfg: SurgeConfig, val mode: BoundMode = BoundMode.Full
     val res = SweepLine.burstyPoint(c.rects.values, box, cfg, winOf)
     stats.searches += 1
     stats.sweptRects += res.rectCount
-    searchedThisMessage = true
     c.setCand(res.point.getOrElse(BurstyPoint(box.x0, box.y0, 0.0, 0.0, 0.0)))
     c.candValid = true
     if (mode == BoundMode.Full) c.ud = c.cscore

@@ -19,8 +19,6 @@ final case class CellResult(key: (Long, Long), box: Box, fc: Double, fp: Double,
   * [[SurgeConfig.burst]].
   */
 final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Double = 0.0) {
-  import EventKind._
-
   private val grid  = new Grid(cfg.rectW, cfg.rectH, offX, offY)
   private val cells = mutable.LongMap.empty[CState]
   private val heap  = new IndexedMaxHeap[CState]
@@ -33,18 +31,20 @@ final class GapSurge(val cfg: SurgeConfig, val offX: Double = 0.0, val offY: Dou
 
   def cellCount: Int = cells.size
 
-  /** Apply one event (O(1) + heap update). */
+  /** Apply one event, a move of its object `from` one window `to` another,
+    * to the cell holding the object (O(1) + heap update).
+    */
   def process(e: Event): Unit = {
-    val o   = e.obj
-    val d   = cfg.delta(o.w)
-    val key = grid.keyOf(o.x, o.y)
-    var c   = cells.getOrNull(key)
+    val o    = e.obj
+    val from = e.kind.from
+    val to   = e.kind.to
+    val key  = grid.keyOf(o.x, o.y)
+    var c    = cells.getOrNull(key)
     if (c == null) { c = new CState(key); cells.update(key, c) }
-    e.kind match {
-      case New     => c.fc += d; c.live += 1
-      case Grown   => c.fc -= d; c.fp += d
-      case Expired => c.fp -= d; c.live -= 1
-    }
+    c.fc += cfg.deltaFc(o.w, from, to)
+    c.fp += cfg.deltaFp(o.w, from, to)
+    if (from == Win.Out) c.live += 1
+    if (to == Win.Out) c.live -= 1
     if (c.live == 0) { cells.remove(key); heap.remove(c) }
     else heap.update(c, cfg.burst(c.fc, c.fp))
   }

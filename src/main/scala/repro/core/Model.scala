@@ -33,12 +33,14 @@ final case class Box(x0: Double, y0: Double, x1: Double, y1: Double) {
 
 /** Which sliding window a creation time falls into at evaluation time `now`:
   * current `W_c = (now−|W|, now]`, past `W_p = (now−2|W|, now−|W|]`, or out.
+  * Each window carries its share of an object's `(f_c, f_p)` contribution:
+  * `Cur` = (1, 0), `Past` = (0, 1), `Out` = (0, 0).
   */
-sealed abstract class Win extends Serializable
+sealed abstract class Win(val fc: Double, val fp: Double) extends Serializable
 object Win {
-  case object Cur  extends Win
-  case object Past extends Win
-  case object Out  extends Win
+  case object Cur  extends Win(1.0, 0.0)
+  case object Past extends Win(0.0, 1.0)
+  case object Out  extends Win(0.0, 0.0)
 
   def of(tc: Long, now: Long, windowMillis: Long): Win =
     if (tc > now - windowMillis && tc <= now) Cur
@@ -83,6 +85,13 @@ final case class SurgeConfig(rectW: Double, rectH: Double, windowMillis: Long, a
 
   /** Contribution of one object of weight `w` to `f`: `w / |W|`. */
   def delta(w: Double): Double = w / windowNorm
+
+  /** The shift `(Δf_c, Δf_p) = w/|W|·(to − from)` of every point a rect of
+    * weight `w` covers when it moves from window `from` to window `to`,
+    * split into its `f_c` and `f_p` parts so that neither allocates.
+    */
+  def deltaFc(w: Double, from: Win, to: Win): Double = delta(w) * (to.fc - from.fc)
+  def deltaFp(w: Double, from: Win, to: Win): Double = delta(w) * (to.fp - from.fp)
 
   /** Burst score `S = α·max(f_c − f_p, 0) + (1−α)·f_c` (Definition 1). */
   def burst(fc: Double, fp: Double): Double =

@@ -20,74 +20,67 @@ import repro.core._
   *  - a cell untouched by any of this keeps its bounds and candidates in
   *    every layer.
   * Each layer owns the window membership of the rects visible to it, and
-  * sees the events of exactly those rects.
+  * sees the events of exactly those rects: an event of a rect at level `l`
+  * goes to layers `0 until l`, and a rect enters at level k on its move
+  * from `Out` and leaves on its move to `Out`.
   */
 final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
-  import EventKind._
   require(k >= 1)
 
-  // Past rects, event-driven as in CellCspot: the window a level change
-  // moves a rect out of or into.
-  private val pastIds = mutable.HashSet.empty[Long]
-  private val layers = Array.fill(k)(new CellCspot(cfg, BoundMode.Full))
-  private val objs   = mutable.HashMap.empty[Long, SpatialObj]
-  private val lvl    = mutable.HashMap.empty[Long, Int]
-  // coverIds(i) = ids currently pinned at level i by step i's selection
-  private val coverIds = Array.fill(k + 1)(mutable.HashSet.empty[Long])
-  private val points   = Array.fill[Option[BurstyPoint]](k + 1)(None)
+  /** A live rect, its level, and whether it is Past (the window a level
+    * change moves it out of or into; event-driven as in CellCspot).
+    */
+  private final class Entry(val obj: SpatialObj) {
+    var level: Int = k
+    var past: Boolean = false
+  }
 
-  var now: Long = Long.MinValue
+  private val layers  = Array.fill(k)(new CellCspot(cfg, BoundMode.Full))
+  private val entries = mutable.LongMap.empty[Entry]
+  // coverIds(i) = ids at level i < k, i.e. pinned by step i's selection
+  private val coverIds = Array.fill(k)(mutable.HashSet.empty[Long])
+  private val points   = Array.fill[Option[BurstyPoint]](k + 1)(None)
 
   /** Total SL-CSPOT invocations across all layers (cost accounting). */
   def searches: Long = layers.map(_.stats.searches).sum
 
   /** Process one event and return the current top-k bursty points
     * (`None` entries when fewer than i covered points exist).
+    *
+    * @throws IllegalArgumentException if the rect moves from `Out` while
+    *   its id is already live
     */
   def onEvent(e: Event): IndexedSeq[Option[BurstyPoint]] = {
-    now = e.at
-    val o = e.obj
-    e.kind match {
-      case New =>
-        objs(o.id) = o
-        lvl(o.id) = k
-        layers.foreach(_.process(e))
-      case Grown =>
-        val l = lvl(o.id)
-        pastIds += o.id
-        (0 until l).foreach(i => layers(i).process(e))
-      case Expired =>
-        val l = lvl.remove(o.id).getOrElse(k)
-        objs.remove(o.id)
-        coverIds(l).remove(o.id)
-        (0 until l).foreach(i => layers(i).process(e))
-        pastIds -= o.id
+    val o  = e.obj
+    val en = if (e.kind.from == Win.Out) enter(o) else entries(o.id)
+    en.past = e.kind.to == Win.Past
+    var j = 0
+    while (j < en.level) { layers(j).process(e); j += 1 }
+    if (e.kind.to == Win.Out) {
+      entries.remove(o.id)
+      if (en.level < k) coverIds(en.level) -= o.id
     }
 
     var i = 1
     while (i <= k) {
       val res = layers(i - 1).query()
       points(i) = res
-      val newCover: Set[Long] = res match {
-        case Some(bp) =>
-          layers(i - 1).rectsCovering(bp.x, bp.y).map(_.id).toSet
-        case None => Set.empty
+      // Step k pins nothing: level k already means "visible to every layer".
+      if (i < k) {
+        val newCover: Set[Long] = res match {
+          case Some(bp) => layers(i - 1).rectsCovering(bp.x, bp.y).map(_.id).toSet
+          case None     => Set.empty
+        }
+        // Release rects pinned at i that no longer cover p[i] → level k,
+        // re-inserting them into layers i+1..k.
+        coverIds(i).toArray.foreach(id => if (!newCover.contains(id)) setLevel(entries(id), k))
+        // Pin rects (level > i) now covering p[i] → level i, removing them
+        // from layers i+1..oldLevel.
+        newCover.foreach { id =>
+          val c = entries(id)
+          if (c.level > i) setLevel(c, i)
+        }
       }
-      // Release rects pinned at i that no longer cover p[i] → level k,
-      // re-inserting them into layers i+1..k. Guard on `lvl == i`: an
-      // earlier step of this very event may have already re-pinned the rect
-      // to a lower level (it covers that step's new point), in which case
-      // the stale coverIds entry must not resurrect it.
-      coverIds(i).toArray.foreach { id =>
-        if (!newCover.contains(id) && objs.contains(id) && lvl(id) == i) setLevel(id, k)
-      }
-      // Pin rects (level > i) now covering p[i] → level i, removing them
-      // from layers i+1..oldLevel.
-      newCover.foreach { id =>
-        if (lvl(id) > i) setLevel(id, i)
-      }
-      coverIds(i).clear()
-      coverIds(i) ++= newCover.filter(id => lvl(id) == i)
       i += 1
     }
     (1 to k).map(points(_))
@@ -96,12 +89,23 @@ final class KCellCspot(val cfg: SurgeConfig, val k: Int) {
   /** Current top-k without processing an event. */
   def current: IndexedSeq[Option[BurstyPoint]] = (1 to k).map(points(_))
 
-  private def setLevel(id: Long, to: Int): Unit = {
-    val from = lvl(id)
-    if (from == to) return
-    val o = objs(id)
-    val w = if (pastIds.contains(id)) Win.Past else Win.Cur
-    lvl(id) = to
+  private def enter(o: SpatialObj): Entry = {
+    if (entries.contains(o.id)) throw new IllegalArgumentException(s"object id ${o.id} is already live")
+    val en = new Entry(o)
+    entries(o.id) = en
+    en
+  }
+
+  /** Moves `en` to level `to`, keeping `coverIds` equal to the ids at each
+    * level below k.
+    */
+  private def setLevel(en: Entry, to: Int): Unit = {
+    val from = en.level
+    val o    = en.obj
+    val w    = if (en.past) Win.Past else Win.Cur
+    if (from < k) coverIds(from) -= o.id
+    if (to < k) coverIds(to) += o.id
+    en.level = to
     if (to > from) {
       // becoming visible to layers from+1 .. to
       var j = from + 1

@@ -83,22 +83,33 @@ object Tables {
   }
 
   /** Table II driver: fraction of rectangle messages that trigger at least
-    * one SL-CSPOT search, for CCS vs B-CCS, counted post-warmup.
+    * one SL-CSPOT search, for CCS vs B-CCS, counted from the first `Expired`
+    * on. An event triggers a search when its `onEvent` raises
+    * `stats.searches`.
     */
   final case class SearchRatios(ccs: Double, bccs: Double, messages: Long)
 
   def searchRatios(objs: IndexedSeq[SpatialObj], cfg: SurgeConfig): SearchRatios = {
     val ccs  = new CellCspot(cfg, BoundMode.Full)
     val bccs = new CellCspot(cfg, BoundMode.StaticOnly)
-    var warmed = false
-    EventStream.fromObjects(objs, cfg.windowMillis, drainTail = false).foreach { e =>
-      if (!warmed && e.kind == EventKind.Expired) {
-        warmed = true
-        ccs.stats.reset(); bccs.stats.reset()
-      }
-      ccs.onEvent(e); bccs.onEvent(e)
+    // 1 if `e` made `a` search, else 0
+    def searched(a: CellCspot, e: Event): Long = {
+      val before = a.stats.searches
+      a.onEvent(e)
+      if (a.stats.searches != before) 1L else 0L
     }
-    SearchRatios(ccs.stats.searchRatio, bccs.stats.searchRatio, ccs.stats.messages)
+    var warmed   = false
+    var messages = 0L
+    var ccsHits  = 0L
+    var bccsHits = 0L
+    EventStream.fromObjects(objs, cfg.windowMillis, drainTail = false).foreach { e =>
+      if (!warmed && e.kind == EventKind.Expired) warmed = true
+      val c = searched(ccs, e)
+      val b = searched(bccs, e)
+      if (warmed) { messages += 1; ccsHits += c; bccsHits += b }
+    }
+    def ratio(hits: Long): Double = if (messages == 0) 0.0 else hits.toDouble / messages
+    SearchRatios(ratio(ccsHits), ratio(bccsHits), messages)
   }
 
   /** Tables III/IV driver: average S(approx)/S(exact) sampled every
@@ -286,8 +297,8 @@ object Tables {
     } yield {
       val run: Event => Unit = algo match {
         case "kCCS"   => val a = new KCellCspot(cfg, k); e => { a.onEvent(e); () }
-        case "kGAPS"  => val a = new KGapSurge(cfg, k); e => { a.onEvent(e); () }
-        case "kMGAPS" => val a = new KMGapSurge(cfg, k); e => { a.onEvent(e); () }
+        case "kGAPS"  => val a = new GapSurge(cfg); e => { a.process(e); a.topK(k); () }
+        case "kMGAPS" => val a = new MGapSurge(cfg); e => { a.process(e); a.topK(k); () }
       }
       val (_, ns) = timePerMessage(objs, cfg.windowMillis)(run)
       TopKRow(spec.name, k, algo, ns)

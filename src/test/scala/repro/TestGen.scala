@@ -18,17 +18,21 @@ object TestGen {
   /** `n` objects with nondecreasing timestamps over `span` ms, uniform
     * positions in `[0,ext]²`. With `lattice` the positions are rounded down
     * to multiples of 0.5, so rect edges land on the lines of any grid whose
-    * cell sides are multiples of 0.5.
+    * cell sides are multiples of 0.5. With `tick > 1` the timestamps are
+    * rounded down to multiples of `tick` ms, so runs of objects share one
+    * `t`; when `tick` divides the window, the New, Grown and Expired events
+    * of several runs fire at one time. Neither option changes the RNG draws.
     */
   def stream(seed: Int, n: Int, span: Long = 3000L, ext: Double = 8.0,
-             intWeights: Boolean = false, lattice: Boolean = false): IndexedSeq[SpatialObj] = {
+             intWeights: Boolean = false, lattice: Boolean = false,
+             tick: Long = 1L): IndexedSeq[SpatialObj] = {
     val rng = new Random(seed)
     def pos(): Double = {
       val v = rng.nextDouble() * ext
       if (lattice) math.floor(v * 2) / 2 else v
     }
     (0 until n).map { i =>
-      val t = 10000L + (i.toDouble / n * span).toLong
+      val t = 10000L + (i.toDouble / n * span).toLong / tick * tick
       SpatialObj(
         i.toLong,
         if (intWeights) 1.0 + rng.nextInt(100) else 0.5 + rng.nextDouble(),

@@ -43,6 +43,51 @@ class GapSurgeSpec extends AnyFunSuite {
       }
     }
 
+  /** Replays `objs` through GAPS and MGAPS and, after every event, compares
+    * GAPS's top cell with the reference scores of its grid and MGAPS's top
+    * with the best reference score over its four shifted grids.
+    */
+  private def replayBoth(objs: IndexedSeq[SpatialObj], cfg: SurgeConfig): Unit = {
+    val gaps  = new GapSurge(cfg)
+    val mgaps = new MGapSurge(cfg)
+    val live  = new LiveSet(cfg.windowMillis)
+    val offs  = Seq((0.0, 0.0), (cfg.rectW / 2, 0.0), (0.0, cfg.rectH / 2), (cfg.rectW / 2, cfg.rectH / 2))
+    EventStream.fromObjects(objs, cfg.windowMillis).foreach { e =>
+      live(e)
+      gaps.process(e); mgaps.process(e)
+      val refs = offs.map { case (ox, oy) => refCellScores(live.objectsAt(e.at), e.at, cfg, ox, oy) }
+      val at   = s"${e.kind}@${e.at}"
+      (gaps.top, refs.head.values.maxOption) match {
+        case (None, None) => ()
+        case (Some(g), Some(b)) =>
+          assert(math.abs(g.score - b) < 1e-6, s"GAPS at $at: got $g, best $b")
+          assert(math.abs(g.score - refs.head(g.key)) < 1e-6, s"GAPS at $at: $g scores ${refs.head(g.key)}")
+        case (g, b) => fail(s"GAPS at $at: got $g, best $b")
+      }
+      (mgaps.top, refs.flatMap(_.values).maxOption) match {
+        case (None, None)       => ()
+        case (Some(m), Some(b)) => assert(math.abs(m.score - b) < 1e-6, s"MGAPS at $at: got $m, best $b")
+        case (m, b)             => fail(s"MGAPS at $at: got $m, best $b")
+      }
+    }
+  }
+
+  // Integer weights make cell-score ties common, lattice positions put
+  // objects on the lines of all four shifted grids, and α at 0 and 0.99
+  // are the extremes of the burst score.
+  for (alpha <- Seq(0.0, 0.99); seed <- 0 until 6)
+    test(s"GAPS and MGAPS match reference cells on a 0.5 lattice with integer weights, alpha $alpha, seed $seed") {
+      replayBoth(TestGen.stream(seed, 50, ext = 3.0, intWeights = true, lattice = true),
+                 TestGen.cfg(windowMillis = 1000L, alpha = alpha))
+    }
+
+  // New, Grown and Expired events of several objects fire at one time.
+  for (seed <- 0 until 6)
+    test(s"GAPS and MGAPS match reference cells on runs of equal timestamps, seed $seed") {
+      replayBoth(TestGen.stream(seed, 50, ext = 3.0, tick = 250L),
+                 TestGen.cfg(windowMillis = 1000L, alpha = Seq(0.0, 0.5, 0.99)(seed % 3)))
+    }
+
   for (seed <- 0 until 10)
     test(s"GAPS approximation bound (Theorem 3): S(cell) >= (1-a)/4 * S(opt), seed $seed") {
       val alpha = (seed % 10) / 10.0

@@ -49,6 +49,35 @@ class TopKSpec extends AnyFunSuite {
       }
     }
 
+  // New, Grown and Expired events of several objects fire at one time, so
+  // level changes run between events that share a timestamp.
+  for (seed <- 0 until 6)
+    test(s"kCCS matches brute-force greedy top-3 on runs of equal timestamps, seed $seed") {
+      val cfg  = TestGen.cfg(windowMillis = 1000L, alpha = Seq(0.0, 0.5, 0.99)(seed % 3))
+      val algo = new KCellCspot(cfg, 3)
+      val live = new LiveSet(cfg.windowMillis)
+      EventStream.fromObjects(TestGen.stream(seed, 35, ext = 3.0, tick = 250L), cfg.windowMillis).foreach { e =>
+        live(e)
+        val got = scores(algo.onEvent(e))
+        val exp = scores(BruteForce.topK(live.objectsAt(e.at), e.at, cfg, 3))
+        got.zip(exp).foreach { case (g, x) =>
+          assert(math.abs(g - x) < 1e-6, s"seed $seed at ${e.kind}@${e.at}: got=$got exp=$exp")
+        }
+      }
+    }
+
+  // Overlapping copies, and copies in disjoint cells.
+  test("kCCS: a repeated live id fails loudly at its second New") {
+    for (x <- Seq(0.3, 5.2)) {
+      val algo = new KCellCspot(TestGen.cfg(), 3)
+      val objs = Seq(SpatialObj(7L, 1.0, 0.2, 0.2, 10000L), SpatialObj(7L, 1.0, x, x, 10100L))
+      val Seq(first, second) = EventStream.fromObjects(objs, 1000L, drainTail = false).toSeq
+      algo.onEvent(first)
+      val err = intercept[IllegalArgumentException](algo.onEvent(second))
+      assert(err.getMessage == "object id 7 is already live")
+    }
+  }
+
   for (seed <- 0 until 5)
     test(s"kCCS on clustered streams, k=3, seed $seed") {
       val cfg  = TestGen.cfg(windowMillis = 1200L, alpha = 0.5)
@@ -88,12 +117,13 @@ class TopKSpec extends AnyFunSuite {
   for (seed <- 0 until 6)
     test(s"kGAPS equals the k best reference cell scores, seed $seed") {
       val cfg  = TestGen.cfg(windowMillis = 1500L, alpha = 0.5)
-      val algo = new KGapSurge(cfg, 3)
+      val algo = new GapSurge(cfg)
       val grid = new Grid(cfg.rectW, cfg.rectH)
       val live = new LiveSet(cfg.windowMillis)
       EventStream.fromObjects(TestGen.stream(seed, 60), cfg.windowMillis).foreach { e =>
         live(e)
-        val got = algo.onEvent(e).map(_.score)
+        algo.process(e)
+        val got = algo.topK(3).map(_.score)
         val ref = live.objectsAt(e.at)
           .groupBy(o => grid.cellOf(o.x, o.y))
           .map { case (_, os) =>
@@ -110,14 +140,14 @@ class TopKSpec extends AnyFunSuite {
 
   test("kMGAPS results are disjoint, descending, and at least as good as kGAPS's best") {
     val cfg  = TestGen.cfg(windowMillis = 1500L)
-    val kg   = new KGapSurge(cfg, 3)
-    val km   = new KMGapSurge(cfg, 3)
+    val kg   = new GapSurge(cfg)
+    val km   = new MGapSurge(cfg)
     EventStream.fromObjects(TestGen.clusteredStream(30, 80), cfg.windowMillis, drainTail = false)
       .foreach { e =>
         kg.process(e); km.process(e)
       }
-    val g = kg.current
-    val m = km.current
+    val g = kg.topK(3)
+    val m = km.topK(3)
     assert(m.nonEmpty)
     m.sliding(2).foreach {
       case Seq(a, b) => assert(a.score >= b.score - 1e-9)

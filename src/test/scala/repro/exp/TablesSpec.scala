@@ -1,7 +1,10 @@
 package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGen
+import repro.core._
 import repro.data.SpatialStreams
+import repro.stream.EventStream
 
 /** Smoke-level validation of the experiment drivers at tiny scale: every
   * table generator runs end-to-end and produces structurally sane rows.
@@ -40,6 +43,34 @@ class TablesSpec extends AnyFunSuite {
     // be systematically worse. The clear CCS ≪ B-CCS gap is a density effect
     // reproduced at bench scale (see EXPERIMENTS.md, Table II).
     assert(rows.map(_.ccs).sum <= rows.map(_.bccs).sum * 1.05)
+  }
+
+  test("searchRatios counts the events, from the first Expired on, whose onEvent searched") {
+    val cfg  = TestGen.cfg(windowMillis = 600L, alpha = 0.5)
+    val objs = TestGen.clusteredStream(11, 300)
+    // (events that searched, events) for one solver
+    def count(mode: BoundMode): (Long, Long) = {
+      val algo   = new CellCspot(cfg, mode)
+      var warmed = false
+      var hits   = 0L
+      var events = 0L
+      EventStream.fromObjects(objs, cfg.windowMillis, drainTail = false).foreach { e =>
+        warmed ||= e.kind == EventKind.Expired
+        val before = algo.stats.searches
+        algo.onEvent(e)
+        if (warmed) {
+          events += 1
+          if (algo.stats.searches > before) hits += 1
+        }
+      }
+      (hits, events)
+    }
+    val (ccs, n)  = count(BoundMode.Full)
+    val (bccs, _) = count(BoundMode.StaticOnly)
+    assert(0 < ccs && ccs < bccs && bccs < n, s"ccs=$ccs bccs=$bccs of $n")
+    val r = Tables.searchRatios(objs, cfg)
+    assert(r.messages == n)
+    assert(r.ccs == ccs.toDouble / n && r.bccs == bccs.toDouble / n, s"$r vs $ccs, $bccs of $n")
   }
 
   test("tableIII produces 5 alpha rows with ratios in (0,110]") {
